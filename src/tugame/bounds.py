@@ -10,6 +10,7 @@ credibly be denied. Both vectors are exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import PlayerNotInCoalitionError
 from .game import TUGame, as_mask, coalition_key
@@ -43,27 +44,41 @@ def minimal_rights(game: TUGame) -> tuple[Fraction, ...]:
     """m_i = max over coalitions containing i of the remainder for i.
 
     The singleton coalition witnesses m_i >= v_i for every player.
+
+    Computed as m_i = M_i + max over S containing i of r(S), where
+    r(S) = v(S) - sum of M_j over S is the same for every member, so it is
+    formed once per coalition. The utopia sums are ints over d, the common
+    denominator of the n utopia payoffs (never of the whole table), and
+    r(S) is kept as the int pair (p_S * d - q_S * d * sum M_S, q_S), whose
+    quotient is r(S) * d. Pairs are compared by cross-multiplying, so no
+    gcd is taken until the n results are built.
     """
     table = game.table
     n = game.n
     payoffs = utopia_payoffs(game)
+    d = lcm(*(m.denominator for m in payoffs))
+    scaled = [m.numerator * (d // m.denominator) for m in payoffs]
 
-    # utopia_sum[mask] = sum of M_j over members of mask
     size = 1 << n
-    utopia_sum = [Fraction(0)] * size
+    dens = [v.denominator for v in table]
+    utopia_sum = [0] * size
+    rest = [0] * size
     for mask in range(1, size):
         low = mask & -mask
-        utopia_sum[mask] = utopia_sum[mask ^ low] + payoffs[low.bit_length() - 1]
+        utopia_sum[mask] = utopia_sum[mask ^ low] + scaled[low.bit_length() - 1]
+        rest[mask] = table[mask].numerator * d - utopia_sum[mask] * dens[mask]
 
     rights = []
     for i in range(n):
         bit = 1 << i
-        best = None
-        for mask in range(1, size):
-            if not mask & bit:
-                continue
-            rem = table[mask] - (utopia_sum[mask] - payoffs[i])
-            if best is None or rem > best:
-                best = rem
-        rights.append(best)
+        best, best_den = rest[bit], dens[bit]
+        comp = (size - 1) ^ bit
+        s = comp
+        while s:
+            mask = s | bit
+            den = dens[mask]
+            if rest[mask] * best_den > best * den:
+                best, best_den = rest[mask], den
+            s = (s - 1) & comp
+        rights.append(payoffs[i] + Fraction(best, best_den * d))
     return tuple(rights)

@@ -18,6 +18,7 @@ becomes 29/2, never a binary float.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .errors import (
@@ -32,6 +33,24 @@ _TOP_LEVEL_KEYS = {"kind", "n", "values"}
 
 def _reject_constant(token):
     raise BadNumberError(token)
+
+
+def _exact_number(convert):
+    """A json number hook that reports an over-long literal as a format
+    error. Python refuses to convert more than a fixed number of digits
+    (`sys.get_int_max_str_digits()`, 4300 by default) from text to int."""
+
+    def parse(token):
+        try:
+            return convert(token)
+        except ValueError:
+            digits = sum(c.isdigit() for c in token)
+            raise GameFormatError(
+                f"number literal of {digits} digits exceeds the limit of "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from None
+
+    return parse
 
 
 def _pairs_to_dict(pairs):
@@ -50,13 +69,18 @@ def parse_game(text: str) -> TUGame | CostGame:
     try:
         doc = json.loads(
             text,
-            parse_float=Fraction,
-            parse_int=int,
+            parse_float=_exact_number(Fraction),
+            parse_int=_exact_number(int),
             parse_constant=_reject_constant,
             object_pairs_hook=_pairs_to_dict,
         )
     except json.JSONDecodeError as exc:
         raise GameFormatError(f"not valid game-file text: {exc.msg}", exc.pos) from None
+    except RecursionError:
+        raise GameFormatError(
+            "not valid game-file text: nesting deeper than the interpreter's "
+            f"recursion limit of {sys.getrecursionlimit()}"
+        ) from None
 
     if not isinstance(doc, dict):
         raise GameFormatError("top level must be an object")

@@ -4,6 +4,19 @@ Every predicate is decided by exhaustive enumeration, never by sampling:
 with at most 16 players the superadditivity check over disjoint coalition
 pairs costs O(3**n), which is affordable, and these flags feed uniqueness
 gates where a probabilistic answer would be useless.
+
+The two superadditivity scans compare exact rationals without building a
+`Fraction` per pair. Each scan reads the numerators p and denominators q
+of the worth table once, then tests v(U) >= v(S) + v(T) for U = S | T as
+
+    p_U * q_S * q_T >= (p_S * q_T + p_T * q_S) * q_U,
+
+which is the same inequality multiplied through by the positive
+q_S * q_T * q_U (a `Fraction` denominator is always positive). That is
+plain int arithmetic with no gcd, so it stays exact and fast whatever the
+denominators. Floats would not be exact, and scaling the whole table to
+one common denominator is not affordable: for worths with large coprime
+denominators that denominator runs to hundreds of thousands of bits.
 """
 
 from __future__ import annotations
@@ -32,14 +45,20 @@ def is_essential(game: TUGame) -> bool:
 def is_superadditive(game: TUGame) -> bool:
     """v(S union T) >= v(S) + v(T) for every disjoint nonempty pair."""
     table = game.table
+    nums = [v.numerator for v in table]
+    dens = [v.denominator for v in table]
     full = game.grand_mask
     for s in range(1, full + 1):
-        vs = table[s]
-        comp = full ^ s
+        ps = nums[s]
+        qs = dens[s]
+        # Each unordered pair is visited once, as (larger, smaller): for
+        # disjoint masks t < s exactly when t's top bit is below s's.
+        comp = (full ^ s) & ((1 << (s.bit_length() - 1)) - 1)
         t = comp
         while t:
-            # each unordered pair visited once, as (larger, smaller)
-            if t < s and table[s | t] < vs + table[t]:
+            u = s | t
+            qt = dens[t]
+            if nums[u] * qs * qt < (ps * qt + nums[t] * qs) * dens[u]:
                 return False
             t = (t - 1) & comp
     return True
@@ -56,15 +75,21 @@ def is_inessential(game: TUGame) -> bool:
 def is_weakly_superadditive(game: TUGame) -> bool:
     """v(S union {i}) >= v(S) + v_i for every S and every i outside S."""
     table = game.table
-    n = game.n
-    for i in range(n):
+    nums = [v.numerator for v in table]
+    dens = [v.denominator for v in table]
+    full = game.grand_mask
+    for i in range(game.n):
         bit = 1 << i
-        vi = table[bit]
-        for s in range(1 << n):
-            if s & bit:
-                continue
-            if table[s | bit] < table[s] + vi:
+        pi = nums[bit]
+        qi = dens[bit]
+        comp = full ^ bit
+        s = comp
+        while s:
+            u = s | bit
+            qs = dens[s]
+            if nums[u] * qs * qi < (nums[s] * qi + pi * qs) * dens[u]:
                 return False
+            s = (s - 1) & comp
     return True
 
 
@@ -90,12 +115,15 @@ def is_weakly_constant_sum(game: TUGame) -> bool:
 def is_quasibalanced(game: TUGame) -> bool:
     """Minimal rights below utopia payoffs componentwise, with v(N) between
     the two vector sums."""
-    lower = minimal_rights(game)
-    upper = utopia_payoffs(game)
+    return _quasibalanced(game, minimal_rights(game), utopia_payoffs(game))
+
+
+def _quasibalanced(game: TUGame, lower, upper) -> bool:
+    """The quasibalancedness test, given the game's minimal rights `lower`
+    and utopia payoffs `upper`."""
     if any(m > big for m, big in zip(lower, upper)):
         return False
-    grand = game.grand_value
-    return sum(lower) <= grand <= sum(upper)
+    return sum(lower) <= game.grand_value <= sum(upper)
 
 
 def classify(game: TUGame) -> GameClassification:
@@ -105,11 +133,13 @@ def classify(game: TUGame) -> GameClassification:
     v(N) but no superadditivity, is neither essential nor inessential; both
     flags come back False and the solvers report their own statuses.
     """
+    surplus = game.grand_value - sum(game.singleton_values())
+    superadditive = is_superadditive(game)
     return GameClassification(
-        essential=is_essential(game),
-        inessential=is_inessential(game),
+        essential=surplus > 0,
+        inessential=surplus == 0 and superadditive,
         weakly_superadditive=is_weakly_superadditive(game),
-        superadditive=is_superadditive(game),
+        superadditive=superadditive,
         weakly_constant_sum=is_weakly_constant_sum(game),
         quasibalanced=is_quasibalanced(game),
     )

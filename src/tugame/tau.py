@@ -20,7 +20,7 @@ from fractions import Fraction
 from .bounds import minimal_rights, utopia_payoffs
 from .game import TUGame
 from .gately import equal_propensity
-from .properties import is_essential, is_quasibalanced
+from .properties import _quasibalanced, is_essential
 
 
 class TauStatus(Enum):
@@ -42,11 +42,11 @@ class TauResult:
 
 def tau_value(game: TUGame) -> TauResult:
     """The tau-value, or the reason there is none."""
-    if not is_quasibalanced(game):
-        return TauResult(TauStatus.NOT_QUASIBALANCED)
-
     lower = minimal_rights(game)
     upper = utopia_payoffs(game)
+    if not _quasibalanced(game, lower, upper):
+        return TauResult(TauStatus.NOT_QUASIBALANCED)
+
     span = sum(upper) - sum(lower)
     if span == 0:
         # m_i <= M_i with equal sums forces m = M; the common point is

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,24 @@ def test_malformed_file_is_exit_2(tmp_path):
     bad.write_text("{not json")
     code, out, err = run_cli("props", str(bad))
     assert code == 2
+
+
+def test_overlong_integer_literal_is_exit_2(tmp_path):
+    # Python converts at most 4300 digits from text to int by default
+    bad = tmp_path / "long.game"
+    bad.write_text('{"kind": "tu", "n": 1, "values": {"1": ' + "7" * 5001 + "}}")
+    code, out, err = run_cli("gately", str(bad))
+    assert code == 2
+    limit = sys.get_int_max_str_digits()
+    assert f"5001 digits exceeds the limit of {limit} digits" in err
+
+
+def test_deeply_nested_document_is_exit_2(tmp_path):
+    bad = tmp_path / "deep.game"
+    bad.write_text("[" * 100000)
+    code, out, err = run_cli("gately", str(bad))
+    assert code == 2
+    assert "nesting deeper than the interpreter's recursion limit" in err
 
 
 def test_bad_usage_is_exit_2():
