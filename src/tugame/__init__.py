@@ -21,6 +21,7 @@ from .errors import (
     BadCoalitionKeyError,
     BadNumberError,
     BelowLowerBoundError,
+    DigitLimitError,
     DuplicateCoalitionError,
     GameError,
     GameFormatError,
@@ -129,6 +130,7 @@ __all__ = [
     "GameFormatError",
     "BadCoalitionKeyError",
     "BadNumberError",
+    "DigitLimitError",
     "NotEssentialError",
     "NotEfficientError",
     "AtLowerBoundError",

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import PlayerNotInCoalitionError
-from .game import TUGame, as_mask, coalition_key
+from .game import TUGame, additive_table, as_mask, coalition_key
 
 
 def utopia_payoffs(game: TUGame) -> tuple[Fraction, ...]:
@@ -61,12 +61,10 @@ def minimal_rights(game: TUGame) -> tuple[Fraction, ...]:
 
     size = 1 << n
     dens = [v.denominator for v in table]
-    utopia_sum = [0] * size
-    rest = [0] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        utopia_sum[mask] = utopia_sum[mask ^ low] + scaled[low.bit_length() - 1]
-        rest[mask] = table[mask].numerator * d - utopia_sum[mask] * dens[mask]
+    rest = [
+        v.numerator * d - total * den
+        for v, total, den in zip(table, additive_table(scaled), dens)
+    ]
 
     rights = []
     for i in range(n):

@@ -16,19 +16,19 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 from fractions import Fraction
 
 from .bounds import minimal_rights, utopia_payoffs
 from .costs import AcaStatus, aca_allocation, savings_game
 from .errors import (
+    DigitLimitError,
     GameError,
     NotEssentialError,
     TooManyPlayersError,
 )
-from .game import CostGame, TUGame, coalition_key, to_fraction
-from .gamefile import fraction_to_token, parse_game, serialize_game
+from .game import CostGame, TUGame, exact_text, to_fraction
+from .gamefile import dump_json, game_document, parse_game, serialize_game
 from .gately import GatelyStatus, equal_propensity, gately_point, propensity_to_disrupt
 from .oracle import grid_minmax_propensity
 from .properties import classify
@@ -54,19 +54,13 @@ def _approx6(value: Fraction) -> str:
 
 
 def _scalar(value: Fraction) -> dict:
-    return {"exact": str(value), "approx": _approx6(value)}
+    # exact_text first: once the exact form fits the digit limit, so does
+    # the integer part of the approximation
+    return {"exact": exact_text(value), "approx": _approx6(value)}
 
 
 def _vector(values) -> list[dict]:
     return [_scalar(v) for v in values]
-
-
-def _game_document(game) -> dict:
-    entries = {
-        coalition_key(mask): fraction_to_token(game.table[mask])
-        for mask in range(1, 1 << game.n)
-    }
-    return {"kind": game.kind, "n": game.n, "values": entries}
 
 
 def _new_report(command: str, game) -> dict:
@@ -85,7 +79,7 @@ def _load_game(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(2, f"cannot read {path}: {exc}") from None
     try:
         return parse_game(text)
@@ -184,6 +178,8 @@ def _cmd_propensity(args) -> dict:
             propensity_to_disrupt(game, allocation, player)
             for player in range(1, game.n + 1)
         ]
+    except DigitLimitError:
+        raise
     except GameError as exc:
         raise _CliError(3, str(exc)) from None
     report = _new_report("propensity", game)
@@ -246,7 +242,7 @@ def _cmd_aca(args) -> dict:
 def _cmd_savings(args) -> dict:
     cost = _require_cost(_load_game(args.file), "savings")
     report = _new_report("savings", cost)
-    report["game"] = _game_document(savings_game(cost))
+    report["game"] = game_document(savings_game(cost))
     return report
 
 
@@ -254,10 +250,10 @@ def _cmd_normalize(args) -> dict:
     game = _require_tu(_load_game(args.file), "normalize")
     report = _new_report("normalize", game)
     if args.mode == "zero":
-        report["game"] = _game_document(zero_normalize(game))
+        report["game"] = game_document(zero_normalize(game))
     else:
         try:
-            report["game"] = _game_document(zero_one_normalize(game))
+            report["game"] = game_document(zero_one_normalize(game))
         except NotEssentialError as exc:
             report["status"] = "NotEssential"
             report["messages"].append(str(exc))
@@ -295,7 +291,7 @@ def _render_text(report: dict) -> str:
         for index, entry in enumerate(entries, start=1):
             lines.append(f"{name}[{index}]: {entry['exact']} (~ {entry['approx']})")
     if "game" in report:
-        lines.append(f"game: {json.dumps(report['game'])}")
+        lines.append(f"game: {dump_json(report['game'])}")
     for message in report["messages"]:
         lines.append(f"message: {message}")
     return "\n".join(lines)
@@ -303,7 +299,7 @@ def _render_text(report: dict) -> str:
 
 def _render(report: dict, fmt: str) -> str:
     if fmt == "structured":
-        return json.dumps(report, indent=2)
+        return dump_json(report, indent=2)
     return _render_text(report)
 
 
@@ -371,14 +367,16 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        report = args.handler(args)
+        rendered = _render(args.handler(args), args.format)
     except _CliError as exc:
         print(f"tugame: {exc.message}", file=sys.stderr)
         return exc.code
+    except DigitLimitError as exc:  # an exact result too long to write
+        print(f"tugame: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # pragma: no cover - safety net
         print(f"tugame: internal error: {exc!r}", file=sys.stderr)
         return 4
-    rendered = _render(report, args.format)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:

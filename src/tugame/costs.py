@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
-from .game import CostGame, TUGame
+from .game import CostGame, TUGame, additive_table
 
 
 class AcaStatus(Enum):
@@ -93,12 +94,11 @@ def savings_game(cost: CostGame) -> TUGame:
     Singleton savings are identically zero, so the result is 0-normalized.
     """
     singles = cost.singleton_values()
-    size = 1 << cost.n
-    stand_alone = [Fraction(0)] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        stand_alone[mask] = stand_alone[mask ^ low] + singles[low.bit_length() - 1]
+    d = lcm(*(c.denominator for c in singles))
+    stand_alone = additive_table([c.numerator * (d // c.denominator) for c in singles])
+    # v(S) = stand_alone[S] / d - p / q with c(S) = p / q
     table = tuple(
-        stand_alone[mask] - cost.table[mask] for mask in range(size)
+        Fraction(total * q - p * d, q * d)
+        for total, (p, q) in zip(stand_alone, map(Fraction.as_integer_ratio, cost.table))
     )
     return TUGame._from_table(cost.n, table)

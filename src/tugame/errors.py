@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import sys
+
 
 class GameError(ValueError):
     """Base class for every game construction or computation error."""
@@ -53,6 +55,17 @@ class BadNumberError(GameFormatError):
     def __init__(self, token):
         super().__init__(f"bad number token {token!r}")
         self.token = token
+
+
+class DigitLimitError(GameFormatError):
+    """An exact number is too long to write as text: Python converts at most
+    `sys.get_int_max_str_digits()` digits (4300 by default) from int to text."""
+
+    def __init__(self):
+        super().__init__(
+            f"an exact number has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit for converting an integer to text"
+        )
 
 
 class NotEssentialError(GameError):

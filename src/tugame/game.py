@@ -21,6 +21,7 @@ from typing import Iterator, Mapping
 from .errors import (
     DuplicateCoalitionError,
     BadNumberError,
+    DigitLimitError,
     GameError,
     MissingCoalitionError,
     PlayerCountError,
@@ -32,7 +33,8 @@ MAX_PLAYERS = 16
 ZERO = Fraction(0)
 
 # int, decimal, or p/q; exponents and bare "."-forms are rejected.
-_NUMBER_TOKEN = re.compile(r"[+-]?\d+(\.\d+)?$|[+-]?\d+/\d+$")
+# Groups 1 and 2 hold p and q of a p/q token.
+_NUMBER_TOKEN = re.compile(r"[+-]?\d+(?:\.\d+)?$|([+-]?\d+)/(\d+)$")
 
 
 def to_fraction(value) -> Fraction:
@@ -56,14 +58,32 @@ def to_fraction(value) -> Fraction:
             f"string like '29/2' or '14.5' to keep arithmetic exact"
         )
     if isinstance(value, str):
-        token = value.strip()
-        if not _NUMBER_TOKEN.match(token):
-            raise BadNumberError(value)
-        try:
-            return Fraction(token)
-        except (ValueError, ZeroDivisionError):
-            raise BadNumberError(value) from None
+        return token_to_fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def token_to_fraction(value: str) -> Fraction:
+    """The exact rational of a number string: "3", "-7/2" or "14.5"."""
+    token = value.strip()
+    match = _NUMBER_TOKEN.match(token)
+    if not match:
+        raise BadNumberError(value)
+    p, q = match.groups()
+    try:
+        if q is None:
+            return Fraction(token)
+        return Fraction(int(p), int(q))
+    except (ValueError, ZeroDivisionError):
+        raise BadNumberError(value) from None
+
+
+def exact_text(value: Fraction) -> str:
+    """`str(value)`, raising DigitLimitError past Python's int-to-text
+    digit limit instead of a bare ValueError."""
+    try:
+        return str(value)
+    except ValueError:
+        raise DigitLimitError() from None
 
 
 def as_mask(coalition, n: int) -> int:
@@ -108,14 +128,34 @@ def coalition_key(mask: int) -> str:
     return ",".join(str(p) for p in coalition_members(mask))
 
 
-_KEY_PATTERN = re.compile(r"[1-9]\d*(,[1-9]\d*)*$")
+def coalition_keys(n: int) -> tuple[str, ...]:
+    """Canonical keys of all 2**n coalitions, indexed by mask ("" for the
+    empty one). Each key extends the key of its mask without the top bit."""
+    keys = [""]
+    for player in range(1, n + 1):
+        label = str(player)
+        tail = "," + label
+        keys += [label] + [key + tail for key in keys[1:]]
+    return tuple(keys)
+
+
+def additive_table(weights) -> list:
+    """Sums of `weights[i]` over the members i+1 of each coalition, indexed
+    by mask (entry 0 is 0)."""
+    sums = [0]
+    for weight in weights:
+        sums += [total + weight for total in sums]
+    return sums
+
+
+_KEY_PATTERN = re.compile(r"[1-9][0-9]*(?:,[1-9][0-9]*)*")
 
 
 def mask_from_key(key: str, n: int) -> int:
     """Parse a canonical coalition key, enforcing strict ascending order."""
     from .errors import BadCoalitionKeyError
 
-    if not _KEY_PATTERN.match(key):
+    if not _KEY_PATTERN.fullmatch(key):
         raise BadCoalitionKeyError(key)
     players = [int(p) for p in key.split(",")]
     if any(b <= a for a, b in zip(players, players[1:])):
@@ -134,6 +174,17 @@ def nonempty_coalitions(n: int) -> Iterator[int]:
     return iter(range(1, 1 << n))
 
 
+def check_player_count(n) -> None:
+    """Raise PlayerCountError unless n is an int in 1..MAX_PLAYERS."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise PlayerCountError(f"player count must be an integer >= 1, got {n!r}")
+    if n > MAX_PLAYERS:
+        raise PlayerCountError(
+            f"player count {n} exceeds the supported maximum of {MAX_PLAYERS} "
+            f"(the table needs 2**n - 1 entries)"
+        )
+
+
 class _CharacteristicGame:
     """Immutable worth table over all coalitions of players 1..n."""
 
@@ -142,13 +193,7 @@ class _CharacteristicGame:
     __slots__ = ("_n", "_table")
 
     def __init__(self, n: int, values: Mapping):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise PlayerCountError(f"player count must be an integer >= 1, got {n!r}")
-        if n > MAX_PLAYERS:
-            raise PlayerCountError(
-                f"player count {n} exceeds the supported maximum of {MAX_PLAYERS} "
-                f"(the table needs 2**n - 1 entries)"
-            )
+        check_player_count(n)
         size = 1 << n
         table: list[Fraction | None] = [None] * size
         table[0] = ZERO

@@ -10,7 +10,8 @@ Coalition keys are comma-separated strictly increasing 1-based player
 indices ("1", "1,3", "1,2,3"). Every nonempty coalition of an n-player
 game must appear exactly once; an explicit empty-coalition entry (key "")
 is tolerated when its value is exactly 0. Worths may be JSON integers,
-JSON decimal literals, or strings like "29/2" or "14.5". Numeric tokens
+JSON decimal literals, or strings like "29/2" or "14.5"; quoted or bare,
+a number follows one grammar, which has no exponent form. Numeric tokens
 are converted from their digit text, so decimals stay exact: "14.5"
 becomes 29/2, never a binary float.
 """
@@ -22,11 +23,25 @@ import sys
 from fractions import Fraction
 
 from .errors import (
+    BadCoalitionKeyError,
     BadNumberError,
+    DigitLimitError,
     DuplicateCoalitionError,
+    GameError,
     GameFormatError,
+    MissingCoalitionError,
 )
-from .game import CostGame, TUGame, coalition_key, mask_from_key, to_fraction
+from .game import (
+    _NUMBER_TOKEN,
+    ZERO,
+    CostGame,
+    TUGame,
+    check_player_count,
+    coalition_keys,
+    exact_text,
+    mask_from_key,
+    token_to_fraction,
+)
 
 _TOP_LEVEL_KEYS = {"kind", "n", "values"}
 
@@ -36,11 +51,15 @@ def _reject_constant(token):
 
 
 def _exact_number(convert):
-    """A json number hook that reports an over-long literal as a format
-    error. Python refuses to convert more than a fixed number of digits
+    """A json number hook. A literal outside the grammar of quoted number
+    tokens (an exponent such as 1e5) is a BadNumberError before any
+    conversion, and an over-long literal is a format error: Python refuses
+    to convert more than a fixed number of digits
     (`sys.get_int_max_str_digits()`, 4300 by default) from text to int."""
 
     def parse(token):
+        if not _NUMBER_TOKEN.match(token):
+            raise BadNumberError(token)
         try:
             return convert(token)
         except ValueError:
@@ -65,7 +84,11 @@ def _pairs_to_dict(pairs):
 
 
 def parse_game(text: str) -> TUGame | CostGame:
-    """Parse game file text into a TUGame or CostGame, exactly."""
+    """Parse game file text into a TUGame or CostGame, exactly.
+
+    One pass over the entries: each key is looked up in the table of
+    canonical keys (`coalition_keys`) and its worth stored at that mask.
+    """
     try:
         doc = json.loads(
             text,
@@ -100,26 +123,55 @@ def parse_game(text: str) -> TUGame | CostGame:
     raw_values = doc["values"]
     if not isinstance(raw_values, dict):
         raise GameFormatError('"values" must be an object')
+    check_player_count(n)
 
-    values = {}
+    keys = coalition_keys(n)
+    index = dict(zip(keys, range(len(keys))))
+    table = [ZERO] * len(keys)
     for key, raw in raw_values.items():
-        if isinstance(raw, bool) or not isinstance(raw, (int, Fraction, str)):
+        # exact type tests: isinstance against Fraction is an ABC check
+        raw_type = type(raw)
+        if raw_type not in (str, int, Fraction):
             raise BadNumberError(raw)
-        if key == "":
-            mask = 0
-        else:
-            mask = mask_from_key(key, n)
-        values[mask] = to_fraction(raw)
+        mask = index.get(key)
+        if mask is None:
+            mask_from_key(key, n)  # raises the error that says what is wrong
+            raise BadCoalitionKeyError(key)
+        table[mask] = token_to_fraction(raw) if raw_type is str else Fraction(raw)
+
+    if table[0] != 0:
+        raise GameError(f"the empty coalition must be worth 0, got {table[0]}")
+    # every key names a distinct mask, so a count shows completeness
+    if len(raw_values) - ("" in raw_values) < len(keys) - 1:
+        missing_mask = next(m for m in range(1, len(keys)) if keys[m] not in raw_values)
+        raise MissingCoalitionError(keys[missing_mask])
 
     cls = TUGame if kind == "tu" else CostGame
-    return cls(n, values)
+    return cls._from_table(n, tuple(table))
+
+
+def dump_json(doc, **options) -> str:
+    """`json.dumps(doc)`, with the digit limit reported as a DigitLimitError
+    (an over-long int is the only value in a game document or report that
+    json.dumps can refuse)."""
+    try:
+        return json.dumps(doc, **options)
+    except ValueError:
+        raise DigitLimitError() from None
 
 
 def fraction_to_token(value: Fraction) -> int | str:
     """Canonical file token: a JSON integer when integral, else "p/q"."""
     if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
+        return value.numerator
+    return exact_text(value)
+
+
+def game_document(game: TUGame | CostGame) -> dict:
+    """The game-file object of a game, its keys in increasing mask order."""
+    table = game.table
+    values = dict(zip(coalition_keys(game.n)[1:], map(fraction_to_token, table[1:])))
+    return {"kind": game.kind, "n": game.n, "values": values}
 
 
 def serialize_game(game: TUGame | CostGame) -> str:
@@ -128,8 +180,4 @@ def serialize_game(game: TUGame | CostGame) -> str:
     Coalition keys are emitted in increasing bitmask order, which makes the
     output canonical: equal games serialize to identical text.
     """
-    entries = {
-        coalition_key(mask): fraction_to_token(game.table[mask])
-        for mask in range(1, 1 << game.n)
-    }
-    return json.dumps({"kind": game.kind, "n": game.n, "values": entries})
+    return dump_json(game_document(game))

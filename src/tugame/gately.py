@@ -40,7 +40,7 @@ from .errors import (
     NotEfficientError,
     NotEssentialError,
 )
-from .game import TUGame
+from .game import TUGame, exact_text
 from .properties import is_essential, is_inessential
 
 
@@ -90,18 +90,19 @@ def propensity_to_disrupt(
     total = sum(x, Fraction(0))
     if total != game.grand_value:
         raise NotEfficientError(
-            f"allocation sums to {total}, not v(N) = {game.grand_value}"
+            f"allocation sums to {exact_text(total)}, "
+            f"not v(N) = {exact_text(game.grand_value)}"
         )
     xi = x[player - 1]
     vi = game.singleton_values()[player - 1]
     if xi == vi:
         raise AtLowerBoundError(
-            f"player {player} is paid exactly v_i = {vi}; "
+            f"player {player} is paid exactly v_i = {exact_text(vi)}; "
             f"the propensity to disrupt is undefined there"
         )
     if xi < vi:
         raise BelowLowerBoundError(
-            f"player {player} is paid {xi} < v_i = {vi}"
+            f"player {player} is paid {exact_text(xi)} < v_i = {exact_text(vi)}"
         )
     mi = utopia_payoffs(game)[player - 1]
     return (mi - xi) / (xi - vi)
@@ -113,7 +114,7 @@ def equal_propensity(game: TUGame) -> Fraction:
     if surplus <= 0:
         raise NotEssentialError(
             "the equal propensity to disrupt is defined for essential games "
-            f"only; v(N) - sum v_j = {surplus}"
+            f"only; v(N) - sum v_j = {exact_text(surplus)}"
         )
     return (sum(utopia_payoffs(game)) - game.grand_value) / surplus
 

@@ -24,7 +24,7 @@ from .errors import (
     NotEssentialError,
     TooManyPlayersError,
 )
-from .game import CostGame, TUGame
+from .game import CostGame, TUGame, exact_text
 from .properties import (
     GameClassification,
     is_essential,
@@ -72,7 +72,8 @@ def grid_minmax_propensity(game: TUGame, resolution: int) -> GridSearchReport:
     surplus = game.grand_value - sum(singles)
     if surplus <= 0:
         raise NotEssentialError(
-            f"grid search needs an essential game; v(N) - sum v_j = {surplus}"
+            "grid search needs an essential game; "
+            f"v(N) - sum v_j = {exact_text(surplus)}"
         )
 
     margins = tuple(m - v for v, m in zip(singles, utopia_payoffs(game)))

@@ -10,9 +10,10 @@ grand coalition is worth one; the latter needs an essential game.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import GameError, NotEssentialError
-from .game import TUGame, to_fraction
+from .game import TUGame, additive_table, exact_text, to_fraction
 
 
 def scale_shift(game: TUGame, scale, shift) -> TUGame:
@@ -23,19 +24,21 @@ def scale_shift(game: TUGame, scale, shift) -> TUGame:
     """
     factor = to_fraction(scale)
     if factor <= 0:
-        raise GameError(f"scale must be positive, got {factor}")
+        raise GameError(f"scale must be positive, got {exact_text(factor)}")
     offsets = tuple(to_fraction(a) for a in shift)
     if len(offsets) != game.n:
         raise GameError(
             f"shift has {len(offsets)} entries for a {game.n}-player game"
         )
-    size = 1 << game.n
-    shift_sum = [Fraction(0)] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        shift_sum[mask] = shift_sum[mask ^ low] + offsets[low.bit_length() - 1]
+    d = lcm(*(a.denominator for a in offsets))
+    shift_sum = additive_table([a.numerator * (d // a.denominator) for a in offsets])
+    # w(S) = (s / t) * (p / q) + shift_sum[S] / d with factor = s / t and
+    # v(S) = p / q, over the one denominator t * d * q
+    s, t = factor.as_integer_ratio()
+    sd, td = s * d, t * d
     table = tuple(
-        factor * game.table[mask] + shift_sum[mask] for mask in range(size)
+        Fraction(sd * p + t * total * q, td * q)
+        for total, (p, q) in zip(shift_sum, map(Fraction.as_integer_ratio, game.table))
     )
     return TUGame._from_table(game.n, table)
 
@@ -51,7 +54,7 @@ def zero_one_normalize(game: TUGame) -> TUGame:
     if surplus <= 0:
         raise NotEssentialError(
             "only essential games have a 0-1-normalization; "
-            f"v(N) - sum v_j = {surplus}"
+            f"v(N) - sum v_j = {exact_text(surplus)}"
         )
     return scale_shift(
         game, 1 / surplus, tuple(-v / surplus for v in game.singleton_values())

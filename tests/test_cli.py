@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -249,3 +250,51 @@ def test_round_trip_through_cli_serialization(data_dir):
     report = structured("normalize", str(data_dir / "ex2.game"), "--mode", "zero")
     text = json.dumps(report["game"])
     assert serialize_game(parse_game(text)) == text
+
+
+def _digits(rng, count):
+    return str(rng.randint(1, 9)) + "".join(str(rng.randint(0, 9)) for _ in range(count - 1))
+
+
+@pytest.mark.parametrize(
+    "kind,argv",
+    [
+        ("tu", ("dstar",)),
+        ("tu", ("minimal-rights",)),
+        ("tu", ("normalize", "--mode", "zero")),
+        ("tu", ("normalize", "--mode", "zero-one")),
+        ("cost", ("aca",)),
+        ("cost", ("savings",)),
+    ],
+)
+def test_result_past_digit_limit_is_exit_2(tmp_path, kind, argv):
+    # 4000-digit worths fit the input limit, but sums and differences of
+    # them have denominators too long to write out
+    rng = random.Random(4000)
+    values = {key: f"{_digits(rng, 4000)}/{_digits(rng, 4000)}" for key in ("1", "2", "1,2")}
+    path = tmp_path / "long.game"
+    path.write_text(json.dumps({"kind": kind, "n": 2, "values": values}))
+    code, out, err = run_cli(argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
+
+
+def test_file_not_utf8_is_exit_2(tmp_path):
+    bad = tmp_path / "latin1.game"
+    bad.write_bytes(b'{"kind": "tu", "n": 1, "values": {"1": \xff}}')
+    code, out, err = run_cli("props", str(bad))
+    assert code == 2
+    assert "cannot read" in err
+
+
+def test_propensity_message_past_digit_limit_is_exit_2(data_dir):
+    # each entry fits the input limit; their sum, named in the
+    # not-efficient message, has too long a denominator to write out
+    rng = random.Random(4300)
+    allocation = [f"1/{_digits(rng, 3000)}" for _ in range(3)]
+    code, out, err = run_cli(
+        "propensity", str(data_dir / "ex2.game"), "--allocation", ",".join(allocation)
+    )
+    assert code == 2
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
