@@ -258,7 +258,7 @@ class _CharacteristicGame:
 
     def __repr__(self) -> str:
         worths = ", ".join(
-            f"{{{coalition_key(mask)}}}: {self._table[mask]}"
+            f"{{{coalition_key(mask)}}}: {exact_text(self._table[mask])}"
             for mask in range(1, min(1 << self._n, 16))
         )
         if (1 << self._n) > 16:

@@ -7,6 +7,25 @@ recomputation walks the defining formulas with an entirely different data
 layout (frozensets and dicts instead of bitmask tables). The generators
 are deterministic per (seed, n, class) and emit rationals with small
 denominators so that everything downstream stays exact and cheap.
+
+Both checks run on an integer core. Each scales its rationals once to
+ints over a common denominator D, compares ints, and builds `Fraction`s
+only for the values it returns, so the answers are exact and equal to a
+walk over `Fraction`s. The recomputation takes D over every worth it
+reads; the grid search takes it over the step and the utopia margins.
+
+The grid search is an exact branch-and-bound. The worst propensity at a
+point is a max over the players, so it only grows as players are added:
+once the players fixed so far reach the best max found, no completion
+can beat it, and the rest of that row is skipped. A point that merely
+ties the best is skipped too, which keeps ties at the lexicographically
+smallest point; the result is that of the exhaustive scan.
+
+This stays independent of the kernels it checks: it shares no code or
+loop structure with `bounds` and `properties`, walks frozenset-keyed
+dicts with `itertools.combinations` instead of bitmask tables, and
+states each definition literally (minimal rights as a max over every
+pair (i, S), superadditivity over every ordered disjoint pair).
 """
 
 from __future__ import annotations
@@ -57,7 +76,9 @@ def grid_minmax_propensity(game: TUGame, resolution: int) -> GridSearchReport:
 
     Exact throughout: grid coordinates are rationals and each propensity is
     the literal ratio of exact numerator and denominator, so the only
-    approximation anywhere is the grid spacing itself.
+    approximation anywhere is the grid spacing itself. Rows that cannot
+    beat the best point so far are skipped, which leaves the result that
+    of the full scan.
     """
     n = game.n
     if n > GRID_PLAYER_LIMIT:
@@ -88,6 +109,9 @@ def grid_minmax_propensity(game: TUGame, resolution: int) -> GridSearchReport:
     alphas = [int(a * scale) for a in margins]
     etak = [k * eta for k in range(resolution + 1)]
 
+    # best_num / best_k is the least worst-case propensity found so far;
+    # a row is skipped once a partial max mn / mk reaches it, that is once
+    # mn * best_k >= best_num * mk.
     best_num = best_k = best_offsets = None
 
     if n == 2:
@@ -106,6 +130,8 @@ def grid_minmax_propensity(game: TUGame, resolution: int) -> GridSearchReport:
         a1, a2, a3 = alphas
         for k1 in range(1, resolution - 1):
             n1 = a1 - etak[k1]
+            if best_num is not None and n1 * best_k >= best_num * k1:
+                continue
             for k2 in range(1, resolution - k1):
                 k3 = resolution - k1 - k2
                 n2 = a2 - etak[k2]
@@ -122,12 +148,16 @@ def grid_minmax_propensity(game: TUGame, resolution: int) -> GridSearchReport:
         a1, a2, a3, a4 = alphas
         for k1 in range(1, resolution - 2):
             n1 = a1 - etak[k1]
+            if best_num is not None and n1 * best_k >= best_num * k1:
+                continue
             for k2 in range(1, resolution - k1 - 1):
                 n2 = a2 - etak[k2]
                 if n1 * k2 >= n2 * k1:
                     mn12, mk12 = n1, k1
                 else:
                     mn12, mk12 = n2, k2
+                if best_num is not None and mn12 * best_k >= best_num * mk12:
+                    continue
                 for k3 in range(1, resolution - k1 - k2):
                     k4 = resolution - k1 - k2 - k3
                     n3 = a3 - etak[k3]
@@ -158,21 +188,43 @@ class DefinitionReport:
     classification: GameClassification
 
 
+def _disjoint_pairs(players: tuple[int, ...], coalition: dict):
+    """Every ordered pair (S, T) of disjoint nonempty coalitions, as the
+    frozensets `coalition` maps their sorted player tuples to."""
+    for s_size in range(1, len(players) + 1):
+        for s_combo in itertools.combinations(players, s_size):
+            s = coalition[s_combo]
+            rest = tuple(p for p in players if p not in s)
+            for t_size in range(1, len(rest) + 1):
+                for t_combo in itertools.combinations(rest, t_size):
+                    yield s, coalition[t_combo]
+
+
 def recompute_by_definition(game: TUGame) -> DefinitionReport:
     """Walk every definition over frozenset-keyed worths.
 
     Used in differential tests against the bitmask implementations; shares
-    no loop structure with them.
+    no loop structure with them. Meant for n <= 8: the superadditivity walk
+    visits all 3**n ordered disjoint pairs. The worths are scaled once to
+    ints over D, the lcm of their denominators, and every definition is
+    walked in int arithmetic; only the returned payoffs become `Fraction`s
+    again. At n <= 8 D stays small: it has at most about 255 * 20 bits even
+    when every worth has its own coprime denominator up to 10**6.
     """
     n = game.n
     players = tuple(range(1, n + 1))
-    worth: dict[frozenset, Fraction] = {}
+    coalition: dict[tuple[int, ...], frozenset] = {}
+    exact: dict[frozenset, Fraction] = {}
     for size in range(n + 1):
         for combo in itertools.combinations(players, size):
-            worth[frozenset(combo)] = game.value(combo)
-    full = frozenset(players)
+            s = coalition[combo] = frozenset(combo)
+            exact[s] = game.value(combo)
+    scale = math.lcm(*(w.denominator for w in exact.values()))
+    worth = {s: w.numerator * (scale // w.denominator) for s, w in exact.items()}
+    full = coalition[players]
+    single = {i: coalition[(i,)] for i in players}
 
-    big = {i: worth[full] - worth[full - {i}] for i in players}
+    big = {i: worth[full] - worth[full - single[i]] for i in players}
 
     small = {}
     for i in players:
@@ -181,36 +233,27 @@ def recompute_by_definition(game: TUGame) -> DefinitionReport:
             for combo in itertools.combinations(players, size):
                 if i not in combo:
                     continue
-                rem = worth[frozenset(combo)] - sum(
-                    (big[j] for j in combo if j != i), Fraction(0)
-                )
+                rem = worth[coalition[combo]] - sum(big[j] for j in combo if j != i)
                 if best is None or rem > best:
                     best = rem
         small[i] = best
 
-    singles_sum = sum(worth[frozenset({i})] for i in players)
+    singles_sum = sum(worth[single[i]] for i in players)
     essential = singles_sum < worth[full]
 
-    superadditive = True
-    for s_size in range(1, n + 1):
-        for s_combo in itertools.combinations(players, s_size):
-            rest = tuple(p for p in players if p not in s_combo)
-            for t_size in range(1, len(rest) + 1):
-                for t_combo in itertools.combinations(rest, t_size):
-                    joined = frozenset(s_combo) | frozenset(t_combo)
-                    if worth[joined] < worth[frozenset(s_combo)] + worth[frozenset(t_combo)]:
-                        superadditive = False
+    superadditive = all(
+        worth[s | t] >= worth[s] + worth[t]
+        for s, t in _disjoint_pairs(players, coalition)
+    )
 
-    weakly_superadditive = True
-    for i in players:
-        rest = tuple(p for p in players if p != i)
-        for size in range(len(rest) + 1):
-            for combo in itertools.combinations(rest, size):
-                s = frozenset(combo)
-                if worth[s | {i}] < worth[s] + worth[frozenset({i})]:
-                    weakly_superadditive = False
+    weakly_superadditive = all(
+        worth[s | single[i]] >= worth[s] + worth[single[i]]
+        for s in coalition.values()
+        for i in players
+        if i not in s
+    )
 
-    weakly_constant_sum = all(worth[frozenset({i})] == big[i] for i in players)
+    weakly_constant_sum = all(worth[single[i]] == big[i] for i in players)
     inessential = superadditive and singles_sum == worth[full]
     quasibalanced = (
         all(small[i] <= big[i] for i in players)
@@ -218,8 +261,8 @@ def recompute_by_definition(game: TUGame) -> DefinitionReport:
     )
 
     return DefinitionReport(
-        utopia=tuple(big[i] for i in players),
-        minimal_rights=tuple(small[i] for i in players),
+        utopia=tuple(Fraction(big[i], scale) for i in players),
+        minimal_rights=tuple(Fraction(small[i], scale) for i in players),
         classification=GameClassification(
             essential=essential,
             inessential=inessential,

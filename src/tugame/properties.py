@@ -96,20 +96,15 @@ def is_weakly_superadditive(game: TUGame) -> bool:
 def is_weakly_constant_sum(game: TUGame) -> bool:
     """v_i + v(N minus i) = v(N) for every player.
 
-    Equivalently every player's singleton worth equals the utopia payoff;
-    both readings are evaluated and must agree.
+    Equivalently every player's singleton worth equals the utopia payoff
+    M_i = v(N) - v(N minus i).
     """
     table = game.table
     full = game.grand_mask
     grand = table[full]
-    complement_sum = all(
+    return all(
         table[1 << i] + table[full ^ (1 << i)] == grand for i in range(game.n)
     )
-    at_utopia = all(
-        vi == mi for vi, mi in zip(game.singleton_values(), utopia_payoffs(game))
-    )
-    assert complement_sum == at_utopia
-    return complement_sum
 
 
 def is_quasibalanced(game: TUGame) -> bool:

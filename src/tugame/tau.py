@@ -19,8 +19,7 @@ from fractions import Fraction
 
 from .bounds import minimal_rights, utopia_payoffs
 from .game import TUGame
-from .gately import equal_propensity
-from .properties import _quasibalanced, is_essential
+from .properties import _quasibalanced
 
 
 class TauStatus(Enum):
@@ -51,10 +50,6 @@ def tau_value(game: TUGame) -> TauResult:
     if span == 0:
         # m_i <= M_i with equal sums forces m = M; the common point is
         # efficient by the quasibalancedness sandwich.
-        assert lower == upper
-        assert sum(upper) == game.grand_value
-        if is_essential(game):
-            assert equal_propensity(game) == 0
         return TauResult(TauStatus.DEGENERATE_ENDPOINTS, point=upper)
 
     alpha = (sum(upper) - game.grand_value) / span

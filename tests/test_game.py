@@ -4,6 +4,7 @@ import pytest
 
 from tugame import (
     CostGame,
+    DigitLimitError,
     DuplicateCoalitionError,
     MissingCoalitionError,
     PlayerCountError,
@@ -116,3 +117,12 @@ def test_mask_round_trips(coalition, mask):
     assert as_mask(coalition, 3) == mask
     assert coalition_members(mask) == coalition
     assert as_mask(coalition_key(mask), 3) == mask
+
+
+def test_repr_past_digit_limit_raises_digit_limit_error():
+    game = TUGame(2, {1: 1, 2: 2, 3: Fraction(10**4400, 7)})
+    with pytest.raises(DigitLimitError):
+        repr(game)
+    assert repr(TUGame(2, {1: 1, 2: 2, 3: Fraction(1, 7)})) == (
+        "TUGame(n=2, {1}: 1, {2}: 2, {1,2}: 1/7)"
+    )

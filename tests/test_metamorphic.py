@@ -1,0 +1,162 @@
+"""Relabelling the players relabels every solution with them.
+
+For a permutation p of the players, the game w(p(S)) = v(S) must have
+gately_point, tau_value, minimal_rights and aca_allocation equal to those
+of v with entry i moved to position p(i), and the same statuses and
+scalars. Each relabelled game is also recomputed by definition, so the
+bitmask kernels are checked on the relabelled tables as well.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from tugame import (
+    AcaStatus,
+    CostGame,
+    GatelyStatus,
+    TauStatus,
+    TUGame,
+    aca_allocation,
+    classify,
+    gately_point,
+    generate_cost_game,
+    generate_game,
+    minimal_rights,
+    recompute_by_definition,
+    savings_game,
+    tau_value,
+    utopia_payoffs,
+)
+from tugame.oracle import GAME_CLASSES
+
+
+def _relabel(game, perm):
+    """The game in which player i + 1 of `game` is player perm[i] + 1."""
+    n = game.n
+    values = {}
+    for mask in range(1, 1 << n):
+        image = 0
+        for i in range(n):
+            if mask >> i & 1:
+                image |= 1 << perm[i]
+        values[image] = game.table[mask]
+    return type(game)(n, values)
+
+
+def _moved(vector, perm):
+    if vector is None:
+        return None
+    out = [None] * len(vector)
+    for i, x in enumerate(vector):
+        out[perm[i]] = x
+    return tuple(out)
+
+
+def _convex_table(rng: random.Random, n: int) -> dict:
+    """Additive plus a random convex bonus on |S|, small denominators."""
+    weights = [Fraction(rng.randint(-4, 8), rng.choice((1, 2, 3))) for _ in range(n)]
+    bonus = Fraction(rng.randint(1, 6), rng.choice((2, 3, 5)))
+    return {
+        mask: sum(weights[i] for i in range(n) if mask >> i & 1)
+        + bonus * (mask.bit_count() - 1) ** 2
+        for mask in range(1, 1 << n)
+    }
+
+
+def _arbitrary_table(rng: random.Random, n: int) -> dict:
+    values = {
+        mask: Fraction(rng.randint(-6, 12), rng.choice((1, 2, 3, 4)))
+        for mask in range(1, 1 << n)
+    }
+    values[(1 << n) - 1] = sum(values[1 << i] for i in range(n)) + rng.randint(1, 10)
+    return values
+
+
+def _tu_games(n: int):
+    if n <= 4:
+        for seed in range(3):
+            for game_class in GAME_CLASSES:
+                yield generate_game(seed, n, game_class)
+    rng = random.Random(f"relabel:{n}")
+    for _ in range(2):
+        yield TUGame(n, _convex_table(rng, n))
+        yield TUGame(n, _arbitrary_table(rng, n))
+
+
+def _cost_games(n: int):
+    if n <= 4:
+        for seed in range(3):
+            yield generate_cost_game(seed, n)
+    # c(S) = sum of stand-alone costs minus a 0-normalized convex saving
+    rng = random.Random(f"relabel-cost:{n}")
+    stand_alone = [Fraction(rng.randint(6, 18), rng.choice((1, 2))) for _ in range(n)]
+    saving = _convex_table(rng, n)
+    yield CostGame(
+        n,
+        {
+            mask: sum(stand_alone[i] for i in range(n) if mask >> i & 1)
+            - saving[mask]
+            + sum(saving[1 << i] for i in range(n) if mask >> i & 1)
+            for mask in range(1, 1 << n)
+        },
+    )
+
+
+def _perms(n: int):
+    rng = random.Random(f"perm:{n}")
+    reverse = tuple(range(n - 1, -1, -1))
+    shuffled = list(range(n))
+    rng.shuffle(shuffled)
+    return (reverse, tuple(shuffled))
+
+
+def _assert_matches_definition(game):
+    ref = recompute_by_definition(game)
+    assert ref.minimal_rights == minimal_rights(game)
+    assert ref.utopia == utopia_payoffs(game)
+    assert ref.classification == classify(game)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_relabelling_moves_tu_solutions(n):
+    for game in _tu_games(n):
+        gately = gately_point(game)
+        tau = tau_value(game)
+        lower = minimal_rights(game)
+        for perm in _perms(n):
+            moved = _relabel(game, perm)
+            moved_gately = gately_point(moved)
+            assert moved_gately.status is gately.status
+            assert moved_gately.point == _moved(gately.point, perm)
+            assert moved_gately.d_star == gately.d_star
+            assert moved_gately.line_parameter == gately.line_parameter
+            moved_tau = tau_value(moved)
+            assert moved_tau.status is tau.status
+            assert moved_tau.point == _moved(tau.point, perm)
+            assert moved_tau.alpha == tau.alpha
+            assert minimal_rights(moved) == _moved(lower, perm)
+            _assert_matches_definition(moved)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_relabelling_moves_aca_allocation(n):
+    for cost in _cost_games(n):
+        aca = aca_allocation(cost)
+        for perm in _perms(n):
+            moved = _relabel(cost, perm)
+            moved_aca = aca_allocation(moved)
+            assert moved_aca.status is aca.status
+            assert moved_aca.allocation == _moved(aca.allocation, perm)
+            assert moved_aca.separable == _moved(aca.separable, perm)
+            assert moved_aca.nsc == aca.nsc
+            _assert_matches_definition(savings_game(moved))
+
+
+def test_relabelling_covers_unique_solutions():
+    # guard: the families above reach the non-degenerate branches at n = 8
+    game = next(_tu_games(8))
+    assert gately_point(game).status is GatelyStatus.UNIQUE_IMPUTATION
+    assert tau_value(game).status is TauStatus.UNIQUE
+    assert aca_allocation(next(_cost_games(8))).status is AcaStatus.ALLOCATED

@@ -116,3 +116,29 @@ def test_generated_game_implications(n):
             v == m for v, m in zip(game.singleton_values(), utopia_payoffs(game))
         )
         assert by_complement == by_utopia == flags.weakly_constant_sum
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("game_class", GAME_CLASSES)
+def test_weakly_constant_sum_readings_agree(n, game_class):
+    # v_i + v(N minus i) = v(N) for all i is the same test as v_i = M_i for
+    # all i; the flag must match both, also after one near-grand worth moves
+    for seed in range(40):
+        game = generate_game(seed, n, game_class)
+        full = game.grand_mask
+        nudged = TUGame(
+            n,
+            {
+                mask: game.table[mask] + (1 if mask == full ^ 1 else 0)
+                for mask in range(1, full + 1)
+            },
+        )
+        for g in (game, nudged):
+            by_complement = all(
+                g.table[1 << i] + g.table[full ^ (1 << i)] == g.grand_value
+                for i in range(n)
+            )
+            by_utopia = g.singleton_values() == utopia_payoffs(g)
+            assert is_weakly_constant_sum(g) == by_complement == by_utopia
+        if is_weakly_constant_sum(game):
+            assert not is_weakly_constant_sum(nudged)

@@ -1,7 +1,11 @@
+import random
 from fractions import Fraction
+
+import pytest
 
 from tugame import (
     GatelyStatus,
+    TUGame,
     TauStatus,
     equal_propensity,
     gately_point,
@@ -70,3 +74,44 @@ def test_tau_on_generated_quasibalanced_games():
                 assert lower == upper
                 if is_essential(game):
                     assert equal_propensity(game) == 0
+
+
+def _degenerate_game(rng: random.Random, n: int) -> TUGame:
+    """A quasibalanced game with sum M_j = v(N), the degenerate tau case.
+
+    Utopia payoffs M are drawn first and v(N minus i) = v(N) - M_i is set
+    from them; every other coalition is worth at most the sum of M over
+    its members, which keeps each minimal right at or below M_i.
+    """
+    upper = [Fraction(rng.randint(-6, 12), rng.choice((1, 2, 3))) for _ in range(n)]
+    full = (1 << n) - 1
+    values = {}
+    for mask in range(1, full + 1):
+        cap = sum(upper[i] for i in range(n) if mask >> i & 1)
+        if mask == full or mask.bit_count() == n - 1:
+            values[mask] = cap
+        else:
+            values[mask] = cap - Fraction(rng.randint(0, 6), rng.choice((1, 2, 5)))
+    return TUGame(n, values)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_degenerate_tau_endpoints_coincide(n, degenerate_pairs):
+    # equal endpoint sums force m = M, the point is efficient, and d* = 0
+    # whenever d* is defined (never at n = 2, where M = v then)
+    rng = random.Random(f"degenerate-tau:{n}")
+    games = [_degenerate_game(rng, n) for _ in range(40)]
+    if n == 3:
+        games.append(degenerate_pairs)
+    essential = 0
+    for game in games:
+        result = tau_value(game)
+        assert result.status is TauStatus.DEGENERATE_ENDPOINTS
+        lower = minimal_rights(game)
+        upper = utopia_payoffs(game)
+        assert lower == upper == result.point
+        assert sum(upper) == game.grand_value
+        if is_essential(game):
+            essential += 1
+            assert equal_propensity(game) == 0
+    assert essential >= len(games) // 2 if n > 2 else essential == 0
