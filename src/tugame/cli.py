@@ -10,6 +10,15 @@ reserved for user mistakes:
     2   unreadable or malformed input
     3   precondition violation (wrong game kind, bad allocation, ...)
     4   internal error
+
+Each subcommand is one row of `_COMMANDS`: its name, the game kind it
+needs, its help text, its extra arguments and a body that fills the
+report. One runner, `_answer`, does the rest for every row: it loads the
+file, checks the kind, digests the input, runs the body and maps its
+errors. A body calls its solver by the module-level name when it runs
+(`lambda game, args, report: ... gately_point(game) ...`); a row never
+holds the function itself, so rebinding that name, as a tracer that wraps
+library functions does, still reaches every call.
 """
 
 from __future__ import annotations
@@ -17,17 +26,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from dataclasses import asdict, fields
 from fractions import Fraction
 
 from .bounds import minimal_rights, utopia_payoffs
 from .costs import AcaStatus, aca_allocation, savings_game
-from .errors import (
-    DigitLimitError,
-    GameError,
-    NotEssentialError,
-    TooManyPlayersError,
-)
-from .game import CostGame, TUGame, exact_text, to_fraction
+from .errors import DigitLimitError, GameError, NotEssentialError
+from .game import exact_text, to_fraction
 from .gamefile import dump_json, game_document, parse_game, serialize_game
 from .gately import GatelyStatus, equal_propensity, gately_point, propensity_to_disrupt
 from .oracle import grid_minmax_propensity
@@ -63,18 +68,6 @@ def _vector(values) -> list[dict]:
     return [_scalar(v) for v in values]
 
 
-def _new_report(command: str, game) -> dict:
-    digest = hashlib.sha256(serialize_game(game).encode("utf-8")).hexdigest()
-    return {
-        "command": command,
-        "input_digest": f"sha256:{digest}",
-        "status": "Computed",
-        "vectors": {},
-        "scalars": {},
-        "messages": [],
-    }
-
-
 def _load_game(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -87,34 +80,7 @@ def _load_game(path: str):
         raise _CliError(2, f"{path}: {exc}") from None
 
 
-def _require_tu(game, command: str) -> TUGame:
-    if not isinstance(game, TUGame):
-        raise _CliError(3, f"`{command}` needs a TU game file, got kind {game.kind!r}")
-    return game
-
-
-def _require_cost(game, command: str) -> CostGame:
-    if not isinstance(game, CostGame):
-        raise _CliError(3, f"`{command}` needs a cost game file, got kind {game.kind!r}")
-    return game
-
-
-def _cmd_props(args) -> dict:
-    game = _require_tu(_load_game(args.file), "props")
-    flags = classify(game)
-    report = _new_report("props", game)
-    report["flags"] = {
-        "essential": flags.essential,
-        "inessential": flags.inessential,
-        "weakly_superadditive": flags.weakly_superadditive,
-        "superadditive": flags.superadditive,
-        "weakly_constant_sum": flags.weakly_constant_sum,
-        "quasibalanced": flags.quasibalanced,
-    }
-    return report
-
-
-_GATELY_MESSAGES = {
+_MESSAGES = {
     GatelyStatus.EQUAL_PROPENSITY_MINUS_ONE: (
         "the equal propensity to disrupt is d* = -1, so there is no unique "
         "Gately point: every imputation equalizes the propensities to disrupt"
@@ -131,151 +97,123 @@ _GATELY_MESSAGES = {
         "the equal-propensity point is efficient but pays some player below "
         "the singleton worth, so it is not an imputation"
     ),
+    TauStatus.NOT_QUASIBALANCED: (
+        "the game is not quasibalanced, so the tau-value is not defined"
+    ),
+    TauStatus.DEGENERATE_ENDPOINTS: (
+        "minimal rights and utopia payoffs coincide; "
+        "their common point is the tau-value"
+    ),
+    AcaStatus.UNDEFINED_ZERO_DENOMINATOR: (
+        "every agent's stand-alone cost equals its separable cost, so the "
+        "proportional split of the nonseparable cost is undefined"
+    ),
+    AcaStatus.ALLOCATED_NEGATIVE_NSC: (
+        "nonseparable cost is negative; practical ACA studies stop here, "
+        "but the allocation is still reported"
+    ),
 }
 
 
-def _cmd_gately(args) -> dict:
-    game = _require_tu(_load_game(args.file), "gately")
-    result = gately_point(game)
-    report = _new_report("gately", game)
-    report["status"] = result.status.value
-    if result.d_star is not None:
-        report["scalars"]["d_star"] = _scalar(result.d_star)
-    if result.line_parameter is not None:
-        report["scalars"]["line_parameter"] = _scalar(result.line_parameter)
-    if result.point is not None:
-        report["vectors"]["point"] = _vector(result.point)
-    message = _GATELY_MESSAGES.get(result.status)
-    if message:
-        report["messages"].append(message)
-    return report
+def _put_result(report: dict, result) -> None:
+    """Copy the fields of a solver's result that are not None into the
+    report: the status with its message, tuples as vectors, numbers as
+    scalars, each in field order."""
+    for field in fields(result):
+        value = getattr(result, field.name)
+        if field.name == "status":
+            report["status"] = value.value
+        elif isinstance(value, tuple):
+            report["vectors"][field.name] = _vector(value)
+        elif value is not None:
+            report["scalars"][field.name] = _scalar(value)
+    if getattr(result, "status", None) in _MESSAGES:
+        report["messages"].append(_MESSAGES[result.status])
 
 
-def _cmd_dstar(args) -> dict:
-    game = _require_tu(_load_game(args.file), "dstar")
-    report = _new_report("dstar", game)
+def _put_vectors(report: dict, **vectors) -> None:
+    report["vectors"].update((name, _vector(v)) for name, v in vectors.items())
+
+
+def _allocation(text: str, n: int) -> tuple[Fraction, ...]:
+    """The payoffs of `--allocation`, one per player."""
     try:
-        report["scalars"]["d_star"] = _scalar(equal_propensity(game))
+        allocation = tuple(to_fraction(token) for token in text.split(","))
+    except GameError as exc:
+        raise _CliError(2, f"bad --allocation: {exc}") from None
+    if len(allocation) != n:
+        raise _CliError(
+            3, f"--allocation has {len(allocation)} entries, the game has {n} players"
+        )
+    return allocation
+
+
+_GROUPS = {"oracle": "brute-force verification tools"}
+
+# name, game kind, help, extra arguments as (flags, options), body
+_COMMANDS = (
+    ("props", "TU", "classify a TU game", (),
+     lambda game, args, report: report.update(flags=asdict(classify(game)))),
+    ("gately", "TU", "compute the Gately point", (),
+     lambda game, args, report: _put_result(report, gately_point(game))),
+    ("dstar", "TU", "compute the equal propensity to disrupt", (),
+     lambda game, args, report: report["scalars"].update(
+         d_star=_scalar(equal_propensity(game)))),
+    ("propensity", "TU", "propensities to disrupt at an allocation",
+     ((("--allocation",), {
+         "required": True,
+         "metavar": "X1,X2,...",
+         "help": "comma-separated exact payoffs, e.g. 23/6,29/6,35/6",
+     }),),
+     # every propensity is computed before either vector is written out
+     lambda game, args, report: _put_vectors(
+         report,
+         allocation=(x := _allocation(args.allocation, game.n)),
+         propensities=[propensity_to_disrupt(game, x, i) for i in range(1, game.n + 1)])),
+    ("tau", "TU", "compute the tau-value", (),
+     lambda game, args, report: _put_result(report, tau_value(game))),
+    ("minimal-rights", "TU", "minimal rights and utopia payoffs", (),
+     lambda game, args, report: _put_vectors(
+         report, minimal_rights=minimal_rights(game), utopia=utopia_payoffs(game))),
+    ("aca", "cost", "ACA cost allocation of a cost game", (),
+     lambda game, args, report: _put_result(report, aca_allocation(game))),
+    ("savings", "cost", "savings game of a cost game", (),
+     lambda game, args, report: report.update(game=game_document(savings_game(game)))),
+    ("normalize", "TU", "strategically equivalent normalization",
+     ((("--mode",), {"choices": ("zero", "zero-one"), "required": True}),),
+     lambda game, args, report: report.update(game=game_document(
+         zero_normalize(game) if args.mode == "zero" else zero_one_normalize(game)))),
+    ("oracle minmax", "TU", "grid search for the min-max propensity",
+     ((("--resolution",), {"type": int, "required": True}),),
+     lambda game, args, report: _put_result(
+         report, grid_minmax_propensity(game, args.resolution))),
+)
+
+
+def _answer(args) -> dict:
+    """Run one row of `_COMMANDS` on its game file."""
+    name, kind, _, _, body = args.row
+    game = _load_game(args.file)
+    if game.kind != kind.lower():
+        raise _CliError(3, f"`{name}` needs a {kind} game file, got kind {game.kind!r}")
+    digest = hashlib.sha256(serialize_game(game).encode("utf-8")).hexdigest()
+    report = {
+        "command": name,
+        "input_digest": f"sha256:{digest}",
+        "status": "Computed",
+        "vectors": {},
+        "scalars": {},
+        "messages": [],
+    }
+    try:
+        body(game, args, report)
     except NotEssentialError as exc:
         report["status"] = "NotEssential"
         report["messages"].append(str(exc))
-    return report
-
-
-def _cmd_propensity(args) -> dict:
-    game = _require_tu(_load_game(args.file), "propensity")
-    tokens = args.allocation.split(",")
-    try:
-        allocation = tuple(to_fraction(token) for token in tokens)
-    except (GameError, TypeError) as exc:
-        raise _CliError(2, f"bad --allocation: {exc}") from None
-    if len(allocation) != game.n:
-        raise _CliError(
-            3, f"--allocation has {len(allocation)} entries, the game has {game.n} players"
-        )
-    try:
-        propensities = [
-            propensity_to_disrupt(game, allocation, player)
-            for player in range(1, game.n + 1)
-        ]
-    except DigitLimitError:
+    except DigitLimitError:  # an exact result too long to write: exit 2
         raise
     except GameError as exc:
         raise _CliError(3, str(exc)) from None
-    report = _new_report("propensity", game)
-    report["vectors"]["allocation"] = _vector(allocation)
-    report["vectors"]["propensities"] = _vector(propensities)
-    return report
-
-
-def _cmd_tau(args) -> dict:
-    game = _require_tu(_load_game(args.file), "tau")
-    result = tau_value(game)
-    report = _new_report("tau", game)
-    report["status"] = result.status.value
-    if result.point is not None:
-        report["vectors"]["point"] = _vector(result.point)
-    if result.alpha is not None:
-        report["scalars"]["alpha"] = _scalar(result.alpha)
-    if result.status is TauStatus.NOT_QUASIBALANCED:
-        report["messages"].append(
-            "the game is not quasibalanced, so the tau-value is not defined"
-        )
-    elif result.status is TauStatus.DEGENERATE_ENDPOINTS:
-        report["messages"].append(
-            "minimal rights and utopia payoffs coincide; "
-            "their common point is the tau-value"
-        )
-    return report
-
-
-def _cmd_minimal_rights(args) -> dict:
-    game = _require_tu(_load_game(args.file), "minimal-rights")
-    report = _new_report("minimal-rights", game)
-    report["vectors"]["minimal_rights"] = _vector(minimal_rights(game))
-    report["vectors"]["utopia"] = _vector(utopia_payoffs(game))
-    return report
-
-
-def _cmd_aca(args) -> dict:
-    cost = _require_cost(_load_game(args.file), "aca")
-    result = aca_allocation(cost)
-    report = _new_report("aca", cost)
-    report["status"] = result.status.value
-    if result.allocation is not None:
-        report["vectors"]["allocation"] = _vector(result.allocation)
-    report["vectors"]["separable"] = _vector(result.separable)
-    report["scalars"]["nsc"] = _scalar(result.nsc)
-    if result.status is AcaStatus.UNDEFINED_ZERO_DENOMINATOR:
-        report["messages"].append(
-            "every agent's stand-alone cost equals its separable cost, so the "
-            "proportional split of the nonseparable cost is undefined"
-        )
-    elif result.status is AcaStatus.ALLOCATED_NEGATIVE_NSC:
-        report["messages"].append(
-            "nonseparable cost is negative; practical ACA studies stop here, "
-            "but the allocation is still reported"
-        )
-    return report
-
-
-def _cmd_savings(args) -> dict:
-    cost = _require_cost(_load_game(args.file), "savings")
-    report = _new_report("savings", cost)
-    report["game"] = game_document(savings_game(cost))
-    return report
-
-
-def _cmd_normalize(args) -> dict:
-    game = _require_tu(_load_game(args.file), "normalize")
-    report = _new_report("normalize", game)
-    if args.mode == "zero":
-        report["game"] = game_document(zero_normalize(game))
-    else:
-        try:
-            report["game"] = game_document(zero_one_normalize(game))
-        except NotEssentialError as exc:
-            report["status"] = "NotEssential"
-            report["messages"].append(str(exc))
-    return report
-
-
-def _cmd_oracle_minmax(args) -> dict:
-    game = _require_tu(_load_game(args.file), "oracle minmax")
-    report = _new_report("oracle minmax", game)
-    try:
-        grid = grid_minmax_propensity(game, args.resolution)
-    except NotEssentialError as exc:
-        report["status"] = "NotEssential"
-        report["messages"].append(str(exc))
-        return report
-    except TooManyPlayersError as exc:
-        raise _CliError(3, str(exc)) from None
-    except GameError as exc:
-        raise _CliError(3, str(exc)) from None
-    report["vectors"]["best_point"] = _vector(grid.best_point)
-    report["scalars"]["best_minmax"] = _scalar(grid.best_minmax)
-    report["scalars"]["resolution"] = _scalar(Fraction(grid.resolution))
     return report
 
 
@@ -323,39 +261,22 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text, needs_file=True):
-        sp = sub.add_parser(name, parents=[common], help=help_text)
-        if needs_file:
-            sp.add_argument("file", help="game file")
-        sp.set_defaults(handler=handler)
-        return sp
-
-    add("props", _cmd_props, "classify a TU game")
-    add("gately", _cmd_gately, "compute the Gately point")
-    add("dstar", _cmd_dstar, "compute the equal propensity to disrupt")
-    sp = add("propensity", _cmd_propensity, "propensities to disrupt at an allocation")
-    sp.add_argument(
-        "--allocation",
-        required=True,
-        metavar="X1,X2,...",
-        help="comma-separated exact payoffs, e.g. 23/6,29/6,35/6",
-    )
-    add("tau", _cmd_tau, "compute the tau-value")
-    add("minimal-rights", _cmd_minimal_rights, "minimal rights and utopia payoffs")
-    add("aca", _cmd_aca, "ACA cost allocation of a cost game")
-    add("savings", _cmd_savings, "savings game of a cost game")
-    sp = add("normalize", _cmd_normalize, "strategically equivalent normalization")
-    sp.add_argument("--mode", choices=("zero", "zero-one"), required=True)
-
-    oracle = sub.add_parser("oracle", help="brute-force verification tools")
-    oracle_sub = oracle.add_subparsers(dest="oracle_command", required=True)
-    minmax = oracle_sub.add_parser(
-        "minmax", parents=[common], help="grid search for the min-max propensity"
-    )
-    minmax.add_argument("file", help="game file")
-    minmax.add_argument("--resolution", type=int, required=True)
-    minmax.set_defaults(handler=_cmd_oracle_minmax)
+    groups = {}
+    for row in _COMMANDS:
+        name, _, help_text, arguments, _ = row
+        *group, leaf = name.split()
+        target = sub
+        for word in group:
+            if word not in groups:
+                groups[word] = sub.add_parser(word, help=_GROUPS[word]).add_subparsers(
+                    dest=f"{word}_command", required=True
+                )
+            target = groups[word]
+        sp = target.add_parser(leaf, parents=[common], help=help_text)
+        sp.add_argument("file", help="game file")
+        for flags, options in arguments:
+            sp.add_argument(*flags, **options)
+        sp.set_defaults(row=row)
 
     return parser
 
@@ -367,7 +288,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        rendered = _render(args.handler(args), args.format)
+        rendered = _render(_answer(args), args.format)
     except _CliError as exc:
         print(f"tugame: {exc.message}", file=sys.stderr)
         return exc.code

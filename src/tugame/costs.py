@@ -22,6 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 
+from .bounds import utopia_payoffs
 from .game import CostGame, TUGame, additive_table
 
 
@@ -47,11 +48,9 @@ class AcaResult:
 
 
 def separable_costs(cost: CostGame) -> tuple[Fraction, ...]:
-    """SC_i = c(N) - c(N minus i) for each agent."""
-    table = cost.table
-    full = cost.grand_mask
-    grand = table[full]
-    return tuple(grand - table[full ^ (1 << i)] for i in range(cost.n))
+    """SC_i = c(N) - c(N minus i) for each agent: the marginal contribution
+    to the grand coalition, so SC_i is M_i of the cost table."""
+    return utopia_payoffs(cost)
 
 
 def nonseparable_cost(cost: CostGame) -> Fraction:

@@ -19,9 +19,10 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .errors import (
-    DuplicateCoalitionError,
+    BadCoalitionKeyError,
     BadNumberError,
     DigitLimitError,
+    DuplicateCoalitionError,
     GameError,
     MissingCoalitionError,
     PlayerCountError,
@@ -153,8 +154,6 @@ _KEY_PATTERN = re.compile(r"[1-9][0-9]*(?:,[1-9][0-9]*)*")
 
 def mask_from_key(key: str, n: int) -> int:
     """Parse a canonical coalition key, enforcing strict ascending order."""
-    from .errors import BadCoalitionKeyError
-
     if not _KEY_PATTERN.fullmatch(key):
         raise BadCoalitionKeyError(key)
     players = [int(p) for p in key.split(",")]

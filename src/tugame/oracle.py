@@ -312,32 +312,34 @@ def _masks_by_size(n: int) -> list[list[int]]:
     return by_size
 
 
-def _sample_superadditive(rng: random.Random, n: int) -> TUGame:
-    size = 1 << n
-    table: list = [Fraction(0)] * size
+def _singles_table(rng: random.Random, n: int) -> tuple[list, list[list[int]]]:
+    """A worth table over n players with only the singleton worths drawn,
+    and the masks grouped by coalition size."""
+    table: list = [Fraction(0)] * (1 << n)
     by_size = _masks_by_size(n)
     for mask in by_size[1]:
         table[mask] = _rand_fraction(rng, -4, 8)
+    return table, by_size
+
+
+def _sample_superadditive(rng: random.Random, n: int) -> TUGame:
+    table, by_size = _singles_table(rng, n)
     for coalition_size in range(2, n):
         for mask in by_size[coalition_size]:
             table[mask] = _superadditive_floor(table, mask) + _rand_fraction(rng, 0, 8)
-    full = size - 1
+    full = len(table) - 1
     table[full] = _superadditive_floor(table, full) + _rand_fraction(rng, 1, 8)
     return TUGame._from_table(n, tuple(table))
 
 
 def _sample_quasibalanced(rng: random.Random, n: int) -> TUGame | None:
-    size = 1 << n
-    table: list = [Fraction(0)] * size
-    by_size = _masks_by_size(n)
-    for mask in by_size[1]:
-        table[mask] = _rand_fraction(rng, -4, 8)
+    table, by_size = _singles_table(rng, n)
     for coalition_size in range(2, n):
         for mask in by_size[coalition_size]:
             # strictly positive synergy keeps the floor above the singleton sum
             table[mask] = _superadditive_floor(table, mask) + _rand_fraction(rng, 1, 8)
 
-    full = size - 1
+    full = len(table) - 1
     singles_sum = sum(table[mask] for mask in by_size[1])
     near_grand_sum = sum(table[mask] for mask in by_size[n - 1])
     if n == 2:
@@ -355,11 +357,7 @@ def _sample_quasibalanced(rng: random.Random, n: int) -> TUGame | None:
 
 
 def _sample_weakly_constant_sum(rng: random.Random, n: int) -> TUGame:
-    size = 1 << n
-    table: list = [Fraction(0)] * size
-    by_size = _masks_by_size(n)
-    for mask in by_size[1]:
-        table[mask] = _rand_fraction(rng, -4, 8)
+    table, by_size = _singles_table(rng, n)
     singles_sum = sum(table[mask] for mask in by_size[1])
     if n == 2:
         # singleton and near-grand coalitions coincide: the class forces
@@ -367,7 +365,7 @@ def _sample_weakly_constant_sum(rng: random.Random, n: int) -> TUGame:
         grand = singles_sum
     else:
         grand = singles_sum + _rand_fraction(rng, 1, 8)
-    full = size - 1
+    full = len(table) - 1
     table[full] = grand
     if n > 2:
         for mask in by_size[n - 1]:
@@ -380,16 +378,12 @@ def _sample_weakly_constant_sum(rng: random.Random, n: int) -> TUGame:
 
 
 def _sample_arbitrary(rng: random.Random, n: int) -> TUGame:
-    size = 1 << n
-    table: list = [Fraction(0)] * size
-    by_size = _masks_by_size(n)
-    for mask in by_size[1]:
-        table[mask] = _rand_fraction(rng, -4, 8)
+    table, by_size = _singles_table(rng, n)
     for coalition_size in range(2, n):
         for mask in by_size[coalition_size]:
             table[mask] = _rand_fraction(rng, -6, 12)
     singles_sum = sum(table[mask] for mask in by_size[1])
-    table[size - 1] = singles_sum + _rand_fraction(rng, 1, 10)
+    table[len(table) - 1] = singles_sum + _rand_fraction(rng, 1, 10)
     return TUGame._from_table(n, tuple(table))
 
 

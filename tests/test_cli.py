@@ -7,6 +7,7 @@ import pytest
 
 from tugame import parse_game, serialize_game
 from tugame.cli import _approx6
+from tugame.game import coalition_keys
 
 from conftest import run_cli
 
@@ -265,6 +266,7 @@ def _digits(rng, count):
         ("tu", ("normalize", "--mode", "zero-one")),
         ("cost", ("aca",)),
         ("cost", ("savings",)),
+        ("tu", ("oracle", "minmax", "--resolution", "2")),
     ],
 )
 def test_result_past_digit_limit_is_exit_2(tmp_path, kind, argv):
@@ -274,7 +276,8 @@ def test_result_past_digit_limit_is_exit_2(tmp_path, kind, argv):
     values = {key: f"{_digits(rng, 4000)}/{_digits(rng, 4000)}" for key in ("1", "2", "1,2")}
     path = tmp_path / "long.game"
     path.write_text(json.dumps({"kind": kind, "n": 2, "values": values}))
-    code, out, err = run_cli(argv[0], str(path), *argv[1:])
+    split = 2 if argv[0] == "oracle" else 1
+    code, out, err = run_cli(*argv[:split], str(path), *argv[split:])
     assert code == 2
     assert out == ""
     assert f"more than {sys.get_int_max_str_digits()} digits" in err
@@ -298,3 +301,39 @@ def test_propensity_message_past_digit_limit_is_exit_2(data_dir):
     )
     assert code == 2
     assert f"more than {sys.get_int_max_str_digits()} digits" in err
+
+
+def _by_size(*worths):
+    """Worth of a coalition by its size: worths[0] for singletons, ..."""
+    return lambda key: worths[key.count(",")]
+
+
+@pytest.mark.parametrize(
+    "kind,n,worth,argv,code,expected",
+    [
+        ("tu", 5, _by_size(0, 0, 0, 0, 1), ("oracle", "minmax", "--resolution", "9"),
+         3, "grid search supports at most 4 players, got 5"),
+        ("tu", 3, _by_size(0, 0, 1), ("oracle", "minmax", "--resolution", "2"),
+         3, "resolution must be an integer >= n = 3, got 2"),
+        ("tu", 3, _by_size(0, 0, 0), ("oracle", "minmax", "--resolution", "6"),
+         0, "status: NotEssential"),
+        # additive, so minimal rights and utopia payoffs are both (1, 2)
+        ("tu", 2, {"1": 1, "2": 2, "1,2": 3}.get, ("tau",),
+         0, "message: minimal rights and utopia payoffs coincide"),
+        ("cost", 3, _by_size(10, 12, 21), ("aca",),
+         0, "message: nonseparable cost is negative"),
+        # a zero result is still reported
+        ("cost", 3, _by_size(1, 2, 3), ("aca",),
+         0, "nsc: 0 (~ 0.000000)"),
+        ("tu", 3, lambda key: {"1,2": 6, "1,2,3": 5}.get(key, 0), ("gately",),
+         0, "message: the equal-propensity point is efficient but pays some player"),
+    ],
+)
+def test_runner_branches(tmp_path, kind, n, worth, argv, code, expected):
+    path = tmp_path / "branch.game"
+    values = {key: worth(key) for key in coalition_keys(n)[1:]}
+    path.write_text(json.dumps({"kind": kind, "n": n, "values": values}))
+    split = 2 if argv[0] == "oracle" else 1
+    status, out, err = run_cli(*argv[:split], str(path), *argv[split:])
+    assert status == code
+    assert expected in (out if code == 0 else err)
