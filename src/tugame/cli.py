@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Gately point, tau-value, and ACA cost allocation."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
     groups = {}
     for row in _COMMANDS:
         name, _, help_text, arguments, _ = row
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         for word in group:
             if word not in groups:
                 groups[word] = sub.add_parser(word, help=_GROUPS[word]).add_subparsers(
-                    dest=f"{word}_command", required=True
+                    dest=f"{word}_command", metavar="COMMAND", required=True
                 )
             target = groups[word]
         sp = target.add_parser(leaf, parents=[common], help=help_text)

@@ -3,7 +3,9 @@
 A game on players 1..n stores one worth per nonempty coalition. Coalitions
 are handled as bitmasks: bit i-1 set means player i is a member, so masks
 run from 1 to 2**n - 1 and the grand coalition is the all-ones mask. The
-empty coalition is representable and always worth 0.
+empty coalition is representable and always worth 0. Both ways in, the
+game constructor and `gamefile.parse_game`, fill and validate the table
+through one builder, `build_table`.
 
 All worths are `fractions.Fraction` values. Binary floats are refused on
 input: the degeneracy checks downstream hinge on knife-edge equalities that
@@ -184,6 +186,41 @@ def check_player_count(n) -> None:
         )
 
 
+def build_table(n: int, values: Mapping, convert) -> tuple[Fraction, ...]:
+    """The mask-indexed worth table of an n-player game, validated.
+
+    The one builder behind the game constructor and `parse_game`. A string
+    key is looked up among the canonical keys; any other key, or a string
+    that misses them, goes through `as_mask`, which says what is wrong with
+    it. Each worth goes through `convert`. Entries are checked in order, key
+    then worth: the empty coalition may appear only with worth 0, and no
+    coalition twice. Every nonempty coalition must appear.
+    """
+    check_player_count(n)
+    keys = coalition_keys(n)
+    index = dict(zip(keys, range(len(keys))))
+    table: list[Fraction | None] = [None] * len(keys)
+    table[0] = ZERO
+    for coalition, raw in values.items():
+        mask = index.get(coalition) if type(coalition) is str else None
+        if mask is None:
+            mask = as_mask(coalition, n)
+        worth = convert(raw)
+        if mask == 0:
+            if worth != 0:
+                raise GameError(
+                    f"the empty coalition must be worth 0, got {exact_text(worth)}"
+                )
+        elif table[mask] is not None:
+            raise DuplicateCoalitionError(keys[mask])
+        else:
+            table[mask] = worth
+    for mask, worth in enumerate(table):
+        if worth is None:
+            raise MissingCoalitionError(keys[mask])
+    return tuple(table)
+
+
 class _CharacteristicGame:
     """Immutable worth table over all coalitions of players 1..n."""
 
@@ -192,27 +229,8 @@ class _CharacteristicGame:
     __slots__ = ("_n", "_table")
 
     def __init__(self, n: int, values: Mapping):
-        check_player_count(n)
-        size = 1 << n
-        table: list[Fraction | None] = [None] * size
-        table[0] = ZERO
-        for coalition, raw in values.items():
-            mask = as_mask(coalition, n)
-            worth = to_fraction(raw)
-            if mask == 0:
-                if worth != 0:
-                    raise GameError(
-                        f"the empty coalition must be worth 0, got {worth}"
-                    )
-                continue
-            if table[mask] is not None:
-                raise DuplicateCoalitionError(coalition_key(mask))
-            table[mask] = worth
-        for mask in range(1, size):
-            if table[mask] is None:
-                raise MissingCoalitionError(coalition_key(mask))
+        self._table = build_table(n, values, to_fraction)
         self._n = n
-        self._table = tuple(table)
 
     @classmethod
     def _from_table(cls, n: int, table: tuple[Fraction, ...]):

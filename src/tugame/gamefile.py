@@ -22,24 +22,14 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import (
-    BadCoalitionKeyError,
-    BadNumberError,
-    DigitLimitError,
-    DuplicateCoalitionError,
-    GameError,
-    GameFormatError,
-    MissingCoalitionError,
-)
+from .errors import BadNumberError, DigitLimitError, DuplicateCoalitionError, GameFormatError
 from .game import (
     _NUMBER_TOKEN,
-    ZERO,
     CostGame,
     TUGame,
-    check_player_count,
+    build_table,
     coalition_keys,
     exact_text,
-    mask_from_key,
     token_to_fraction,
 )
 
@@ -72,6 +62,18 @@ def _exact_number(convert):
     return parse
 
 
+def _file_worth(raw) -> Fraction:
+    """The exact rational of a file worth: a number string, or a JSON number
+    that `_exact_number` already converted."""
+    # exact type tests: isinstance against Fraction is an ABC check
+    raw_type = type(raw)
+    if raw_type is str:
+        return token_to_fraction(raw)
+    if raw_type is int or raw_type is Fraction:
+        return Fraction(raw)
+    raise BadNumberError(raw)
+
+
 def _pairs_to_dict(pairs):
     out = {}
     for key, value in pairs:
@@ -86,8 +88,9 @@ def _pairs_to_dict(pairs):
 def parse_game(text: str) -> TUGame | CostGame:
     """Parse game file text into a TUGame or CostGame, exactly.
 
-    One pass over the entries: each key is looked up in the table of
-    canonical keys (`coalition_keys`) and its worth stored at that mask.
+    The worth table is filled and validated by `game.build_table`, the
+    builder behind the game constructor, so a file is held to the same checks,
+    in the same order, as a constructor call.
     """
     try:
         doc = json.loads(
@@ -123,31 +126,8 @@ def parse_game(text: str) -> TUGame | CostGame:
     raw_values = doc["values"]
     if not isinstance(raw_values, dict):
         raise GameFormatError('"values" must be an object')
-    check_player_count(n)
-
-    keys = coalition_keys(n)
-    index = dict(zip(keys, range(len(keys))))
-    table = [ZERO] * len(keys)
-    for key, raw in raw_values.items():
-        # exact type tests: isinstance against Fraction is an ABC check
-        raw_type = type(raw)
-        if raw_type not in (str, int, Fraction):
-            raise BadNumberError(raw)
-        mask = index.get(key)
-        if mask is None:
-            mask_from_key(key, n)  # raises the error that says what is wrong
-            raise BadCoalitionKeyError(key)
-        table[mask] = token_to_fraction(raw) if raw_type is str else Fraction(raw)
-
-    if table[0] != 0:
-        raise GameError(f"the empty coalition must be worth 0, got {table[0]}")
-    # every key names a distinct mask, so a count shows completeness
-    if len(raw_values) - ("" in raw_values) < len(keys) - 1:
-        missing_mask = next(m for m in range(1, len(keys)) if keys[m] not in raw_values)
-        raise MissingCoalitionError(keys[missing_mask])
-
     cls = TUGame if kind == "tu" else CostGame
-    return cls._from_table(n, tuple(table))
+    return cls._from_table(n, build_table(n, raw_values, _file_worth))
 
 
 def dump_json(doc, **options) -> str:

@@ -43,7 +43,7 @@ from .errors import (
     NotEssentialError,
     TooManyPlayersError,
 )
-from .game import CostGame, TUGame, exact_text
+from .game import CostGame, TUGame, additive_table, exact_text
 from .properties import (
     GameClassification,
     is_essential,
@@ -444,10 +444,6 @@ def generate_cost_game(seed: int, n: int) -> CostGame:
     rng = random.Random(f"tugame:cost:{n}:{seed}")
     savings = zero_normalize(_sample_superadditive(rng, n))
     singles = tuple(_rand_fraction(rng, 6, 18) for _ in range(n))
-    size = 1 << n
-    stand_alone = [Fraction(0)] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        stand_alone[mask] = stand_alone[mask ^ low] + singles[low.bit_length() - 1]
-    table = tuple(stand_alone[mask] - savings.table[mask] for mask in range(size))
+    stand_alone = additive_table(singles)
+    table = tuple(total - saving for total, saving in zip(stand_alone, savings.table))
     return CostGame._from_table(n, table)

@@ -283,6 +283,18 @@ def test_result_past_digit_limit_is_exit_2(tmp_path, kind, argv):
     assert f"more than {sys.get_int_max_str_digits()} digits" in err
 
 
+def test_empty_coalition_worth_past_digit_limit_is_exit_2(tmp_path):
+    # the worth fits the input limit, but its exact value does not fit the
+    # text of the error message
+    worth = "9" * 4000 + "." + "9" * 4000
+    path = tmp_path / "empty.game"
+    path.write_text(json.dumps({"kind": "tu", "n": 1, "values": {"": worth, "1": 0}}))
+    code, out, err = run_cli("props", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
+
+
 def test_file_not_utf8_is_exit_2(tmp_path):
     bad = tmp_path / "latin1.game"
     bad.write_bytes(b'{"kind": "tu", "n": 1, "values": {"1": \xff}}')

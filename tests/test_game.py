@@ -70,8 +70,12 @@ def test_player_count_bounds():
 
 def test_explicit_empty_coalition_must_be_zero():
     TUGame(1, {(): 0, (1,): 5})
+    assert TUGame(1, {"": 0, "1": 5}) == TUGame(1, {(1,): 5})
     with pytest.raises(ValueError):
         TUGame(1, {(): 1, (1,): 5})
+    # the message names the worth, which may be too long to write out
+    with pytest.raises(DigitLimitError):
+        TUGame(1, {(): Fraction(10**5000), (1,): 5})
 
 
 def test_floats_are_refused():

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,14 +8,20 @@ from tugame import (
     BadCoalitionKeyError,
     BadNumberError,
     CostGame,
+    DigitLimitError,
     DuplicateCoalitionError,
+    GameError,
     GameFormatError,
     MissingCoalitionError,
+    PlayerOutOfRangeError,
     TUGame,
+    as_mask,
+    coalition_members,
     generate_game,
     parse_game,
     serialize_game,
 )
+from tugame.game import coalition_keys
 from tugame.oracle import GAME_CLASSES
 
 
@@ -128,3 +135,87 @@ def test_missing_coalition_from_file():
 def test_malformed_documents(text):
     with pytest.raises(GameFormatError):
         parse_game(text)
+
+
+def _worths(n: int) -> dict:
+    """Seeded worths of an n-player game by canonical key, as file tokens."""
+    rng = random.Random(n)
+    return {
+        key: rng.choice([rng.randint(-99, 99), f"{rng.randint(-10**6, 10**6)}/{rng.randint(1, 10**6)}"])
+        for key in coalition_keys(n)[1:]
+    }
+
+
+@pytest.mark.parametrize(
+    "cls,n", [(cls, n) for cls in (TUGame, CostGame) for n in (1, 2, 3, 4)] + [(TUGame, 16)]
+)
+def test_constructor_and_parser_build_the_same_table(cls, n):
+    worths = _worths(n)
+    parsed = parse_game(json.dumps({"kind": cls.kind, "n": n, "values": worths}))
+    by_mask = dict(zip(range(1, 1 << n), worths.values()))
+    for values in (
+        worths,
+        {coalition_members(mask): worth for mask, worth in by_mask.items()},
+        by_mask,
+    ):
+        assert cls(n, values) == parsed
+
+
+def _both_ways(n: int, entries: list) -> list:
+    """(type, message) of the error that a list of (key, worth) entries
+    raises through the constructor and through `parse_game`."""
+    body = ", ".join(f"{json.dumps(key)}: {json.dumps(worth)}" for key, worth in entries)
+    text = '{"kind": "tu", "n": %d, "values": {%s}}' % (n, body)
+    constructor_values = {}
+    for key, worth in entries:
+        # a repeated key reaches the constructor as a tuple of the same coalition
+        if key in constructor_values:
+            key = coalition_members(as_mask(key, n))
+        constructor_values[key] = worth
+    raised = []
+    for build in (lambda: TUGame(n, constructor_values), lambda: parse_game(text)):
+        with pytest.raises(GameError) as info:
+            build()
+        raised.append((type(info.value), str(info.value)))
+    return raised
+
+
+_BASE = [("1", 1), ("2", "-7/2"), ("1,2", 4)]
+_LONG = "9" * 4000 + "." + "9" * 4000
+
+
+@pytest.mark.parametrize(
+    "entries,error,message",
+    [
+        (_BASE[:2], MissingCoalitionError, "no value supplied for coalition {1,2}"),
+        (_BASE[1:], MissingCoalitionError, "no value supplied for coalition {1}"),
+        (_BASE + [("3", 1)], PlayerOutOfRangeError, "player 3 outside 1..2"),
+        (_BASE + [("2,1", 1)], BadCoalitionKeyError, "bad coalition key '2,1'"),
+        (_BASE + [("01", 1)], BadCoalitionKeyError, "bad coalition key '01'"),
+        (_BASE + [("", "-1/3")], GameError, "the empty coalition must be worth 0, got -1/3"),
+        (_BASE + [("", _LONG)], DigitLimitError, "more than"),
+        (_BASE + [("1", 1)], DuplicateCoalitionError, "coalition {1} supplied more than once"),
+        ([("1", "abc")] + _BASE[1:], BadNumberError, "bad number token 'abc'"),
+        ([("1", "1/0")] + _BASE[1:], BadNumberError, "bad number token '1/0'"),
+    ],
+)
+def test_single_fault_raises_the_same_error_both_ways(entries, error, message):
+    constructor, parser = _both_ways(2, entries)
+    assert constructor == parser
+    assert parser[0] is error
+    assert message in parser[1]
+
+
+@pytest.mark.parametrize(
+    "entries,error,message",
+    [
+        # key before worth
+        ([("3", None)], PlayerOutOfRangeError, "player 3 outside 1..2"),
+        ([("2,1", [1])], BadCoalitionKeyError, "bad coalition key '2,1'"),
+        # the empty coalition at its own entry, before later faults
+        ([("", 1), ("x", 1)], GameError, "the empty coalition must be worth 0, got 1"),
+        ([("", 1), ("1", "abc")], GameError, "the empty coalition must be worth 0, got 1"),
+    ],
+)
+def test_multi_fault_input_reports_the_first_entry_fault(entries, error, message):
+    assert _both_ways(2, entries) == [(error, message)] * 2
