@@ -1,7 +1,8 @@
 """Separable-cost accounting, the ACA allocation, and the savings game.
 
 A cost game c turns into a savings game via v(S) = sum of c_i over S minus
-c(S); the savings game is 0-normalized by construction. The ACA (alternate
+c(S): the affine image of c with factor a = -1 and offsets c_i
+(`transforms.affine_table`), 0-normalized by construction. The ACA (alternate
 cost avoided) method charges each agent the separable cost
 
     SC_i = c(N) - c(N minus i)
@@ -20,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 
 from .bounds import utopia_payoffs
-from .game import CostGame, TUGame, additive_table
+from .game import CostGame, TUGame
+from .transforms import affine_table
 
 
 class AcaStatus(Enum):
@@ -92,12 +93,6 @@ def savings_game(cost: CostGame) -> TUGame:
 
     Singleton savings are identically zero, so the result is 0-normalized.
     """
-    singles = cost.singleton_values()
-    d = lcm(*(c.denominator for c in singles))
-    stand_alone = additive_table([c.numerator * (d // c.denominator) for c in singles])
-    # v(S) = stand_alone[S] / d - p / q with c(S) = p / q
-    table = tuple(
-        Fraction(total * q - p * d, q * d)
-        for total, (p, q) in zip(stand_alone, map(Fraction.as_integer_ratio, cost.table))
+    return TUGame._from_table(
+        cost.n, affine_table(cost.table, Fraction(-1), cost.singleton_values())
     )
-    return TUGame._from_table(cost.n, table)

@@ -54,6 +54,8 @@ def to_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, Decimal):
+        if not value.is_finite():
+            raise BadNumberError(value)
         return Fraction(value)
     if isinstance(value, float):
         raise TypeError(
@@ -155,7 +157,10 @@ _KEY_PATTERN = re.compile(r"[1-9][0-9]*(?:,[1-9][0-9]*)*")
 
 
 def mask_from_key(key: str, n: int) -> int:
-    """Parse a canonical coalition key, enforcing strict ascending order."""
+    """Parse a canonical coalition key, enforcing strict ascending order;
+    "" is the empty coalition."""
+    if key == "":
+        return 0
     if not _KEY_PATTERN.fullmatch(key):
         raise BadCoalitionKeyError(key)
     players = [int(p) for p in key.split(",")]

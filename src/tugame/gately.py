@@ -38,10 +38,9 @@ from .errors import (
     BelowLowerBoundError,
     GameError,
     NotEfficientError,
-    NotEssentialError,
 )
 from .game import TUGame, exact_text
-from .properties import is_essential, is_inessential
+from .properties import essential_surplus, is_essential, is_inessential
 
 
 class GatelyStatus(Enum):
@@ -110,12 +109,9 @@ def propensity_to_disrupt(
 
 def equal_propensity(game: TUGame) -> Fraction:
     """The equalized propensity to disrupt d*, for essential games."""
-    surplus = game.grand_value - sum(game.singleton_values())
-    if surplus <= 0:
-        raise NotEssentialError(
-            "the equal propensity to disrupt is defined for essential games "
-            f"only; v(N) - sum v_j = {exact_text(surplus)}"
-        )
+    surplus = essential_surplus(
+        game, "the equal propensity to disrupt is defined for essential games only"
+    )
     return (sum(utopia_payoffs(game)) - game.grand_value) / surplus
 
 

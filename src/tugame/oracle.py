@@ -37,21 +37,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import utopia_payoffs
-from .errors import (
-    GameError,
-    GenerationFailedError,
-    NotEssentialError,
-    TooManyPlayersError,
-)
-from .game import CostGame, TUGame, additive_table, exact_text
+from .errors import GameError, GenerationFailedError, TooManyPlayersError
+from .game import CostGame, TUGame
 from .properties import (
     GameClassification,
+    essential_surplus,
     is_essential,
     is_quasibalanced,
     is_superadditive,
     is_weakly_constant_sum,
 )
-from .transforms import zero_normalize
+from .transforms import affine_table, zero_normalize
 
 GRID_PLAYER_LIMIT = 4
 
@@ -90,12 +86,7 @@ def grid_minmax_propensity(game: TUGame, resolution: int) -> GridSearchReport:
             f"resolution must be an integer >= n = {n}, got {resolution!r}"
         )
     singles = game.singleton_values()
-    surplus = game.grand_value - sum(singles)
-    if surplus <= 0:
-        raise NotEssentialError(
-            "grid search needs an essential game; "
-            f"v(N) - sum v_j = {exact_text(surplus)}"
-        )
+    surplus = essential_surplus(game, "grid search needs an essential game")
 
     margins = tuple(m - v for v, m in zip(singles, utopia_payoffs(game)))
     step = surplus / resolution
@@ -444,6 +435,4 @@ def generate_cost_game(seed: int, n: int) -> CostGame:
     rng = random.Random(f"tugame:cost:{n}:{seed}")
     savings = zero_normalize(_sample_superadditive(rng, n))
     singles = tuple(_rand_fraction(rng, 6, 18) for _ in range(n))
-    stand_alone = additive_table(singles)
-    table = tuple(total - saving for total, saving in zip(stand_alone, savings.table))
-    return CostGame._from_table(n, table)
+    return CostGame._from_table(n, affine_table(savings.table, Fraction(-1), singles))

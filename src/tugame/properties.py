@@ -22,9 +22,11 @@ denominators that denominator runs to hundreds of thousands of bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .bounds import minimal_rights, utopia_payoffs
-from .game import TUGame
+from .errors import NotEssentialError
+from .game import TUGame, exact_text
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,15 @@ class GameClassification:
 def is_essential(game: TUGame) -> bool:
     """True when the singleton worths sum to strictly less than v(N)."""
     return sum(game.singleton_values()) < game.grand_value
+
+
+def essential_surplus(game: TUGame, need: str) -> Fraction:
+    """v(N) - sum v_j, or NotEssentialError with `need` as its message when
+    that surplus is not positive."""
+    surplus = game.grand_value - sum(game.singleton_values())
+    if surplus <= 0:
+        raise NotEssentialError(f"{need}; v(N) - sum v_j = {exact_text(surplus)}")
+    return surplus
 
 
 def is_superadditive(game: TUGame) -> bool:
@@ -99,12 +110,7 @@ def is_weakly_constant_sum(game: TUGame) -> bool:
     Equivalently every player's singleton worth equals the utopia payoff
     M_i = v(N) - v(N minus i).
     """
-    table = game.table
-    full = game.grand_mask
-    grand = table[full]
-    return all(
-        table[1 << i] + table[full ^ (1 << i)] == grand for i in range(game.n)
-    )
+    return utopia_payoffs(game) == game.singleton_values()
 
 
 def is_quasibalanced(game: TUGame) -> bool:

@@ -1,8 +1,10 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from tugame import (
+    BadNumberError,
     CostGame,
     DigitLimitError,
     DuplicateCoalitionError,
@@ -13,6 +15,7 @@ from tugame import (
     as_mask,
     coalition_key,
     coalition_members,
+    mask_from_key,
     to_fraction,
 )
 
@@ -83,6 +86,24 @@ def test_floats_are_refused():
         TUGame(1, {(1,): 0.5})
 
 
+@pytest.mark.parametrize("token", ["NaN", "sNaN", "-NaN", "Infinity", "-Infinity"])
+def test_non_finite_decimals_are_bad_numbers(token):
+    with pytest.raises(BadNumberError):
+        to_fraction(Decimal(token))
+    with pytest.raises(BadNumberError):
+        TUGame(1, {(1,): Decimal(token)})
+
+
+def test_finite_decimals_convert_exactly():
+    assert TUGame(1, {(1,): Decimal("14.5")}).value(1) == Fraction(29, 2)
+
+
+def test_empty_key_names_the_empty_coalition():
+    game = TUGame(1, {"": 0, "1": 1})
+    assert game.value("") == game.value(()) == 0
+    assert mask_from_key(coalition_key(0), 16) == 0
+
+
 def test_games_are_immutable(ex1):
     with pytest.raises(AttributeError):
         ex1.n = 4
@@ -116,7 +137,9 @@ def test_exact_token_conversion(token, expected):
     assert to_fraction(token) == expected
 
 
-@pytest.mark.parametrize("coalition,mask", [((1,), 1), ((1, 3), 5), ((2,), 2), ((1, 2, 3), 7)])
+@pytest.mark.parametrize(
+    "coalition,mask", [((), 0), ((1,), 1), ((1, 3), 5), ((2,), 2), ((1, 2, 3), 7)]
+)
 def test_mask_round_trips(coalition, mask):
     assert as_mask(coalition, 3) == mask
     assert coalition_members(mask) == coalition
