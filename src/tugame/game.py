@@ -16,6 +16,7 @@ string (which `Fraction` does exactly).
 from __future__ import annotations
 
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -45,7 +46,8 @@ def to_fraction(value) -> Fraction:
 
     Accepts int, Fraction, decimal.Decimal, and strings of the form
     "3", "-7/2", or "14.5" (parsed from the digit text, never through a
-    float).
+    float). A Decimal whose exact value could need more digits than
+    `sys.get_int_max_str_digits()` is a BadNumberError.
     """
     if isinstance(value, Fraction):
         return value
@@ -55,6 +57,13 @@ def to_fraction(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, Decimal):
         if not value.is_finite():
+            raise BadNumberError(value)
+        # The exact value has at most len(digits) + |exponent| digits; past
+        # the int-to-text limit a short literal such as 1E+10000000 would
+        # otherwise build an integer of unbounded size.
+        _, digits, exponent = value.as_tuple()
+        limit = sys.get_int_max_str_digits()
+        if limit and len(digits) + abs(exponent) > limit:
             raise BadNumberError(value)
         return Fraction(value)
     if isinstance(value, float):

@@ -1,32 +1,52 @@
 """Exact classification predicates for TU games.
 
-Every predicate is decided by exhaustive enumeration, never by sampling:
-with at most 16 players the superadditivity check over disjoint coalition
-pairs costs O(3**n), which is affordable, and these flags feed uniqueness
-gates where a probabilistic answer would be useless.
+Every predicate is decided exactly, never by sampling: these flags feed
+uniqueness gates where a probabilistic answer would be useless.
+Superadditivity, v(S union T) >= v(S) + v(T) for disjoint S and T, is a
+condition on O(3**n) pairs. `is_superadditive` scans them all only when
+none of three exact shortcuts settles the answer first:
 
-The two superadditivity scans compare exact rationals without building a
-`Fraction` per pair. Each scan reads the numerators p and denominators q
-of the worth table once, then tests v(U) >= v(S) + v(T) for U = S | T as
+- surplus v(N) - sum v_i < 0: not superadditive, since superadditivity
+  gives v(N) >= sum v_i by adding one player at a time. O(n).
+- surplus 0: superadditive exactly when additive, v(S) = sum of v_i over
+  S for every S. Superadditivity gives v(S) >= sum_S v_i and
+  v(N) >= v(S) + sum of v_j outside S, and the second, with v(N) =
+  sum v_i, gives v(S) <= sum_S v_i; an additive game is superadditive
+  with equality. O(2**n).
+- surplus > 0 and convex: superadditive. Convexity (supermodularity)
+  v(S union T) + v(S intersect T) >= v(S) + v(T) holds for all S, T
+  once it holds for S | i and S | j with i, j outside S (Shapley 1971),
+  and for disjoint S, T it reads v(S union T) >= v(S) + v(T) because
+  v(empty) = 0. O(n**2 * 2**n). Only a game that fails this test pays
+  for the full scan.
+
+The tests compare exact rationals without building a `Fraction` per
+comparison. The pair scans read the numerators p and denominators q of
+the worth table once, then test v(U) >= v(S) + v(T) for U = S | T as
 
     p_U * q_S * q_T >= (p_S * q_T + p_T * q_S) * q_U,
 
 which is the same inequality multiplied through by the positive
-q_S * q_T * q_U (a `Fraction` denominator is always positive). That is
-plain int arithmetic with no gcd, so it stays exact and fast whatever the
-denominators. Floats would not be exact, and scaling the whole table to
-one common denominator is not affordable: for worths with large coprime
-denominators that denominator runs to hundreds of thousands of bits.
+q_S * q_T * q_U (a `Fraction` denominator is always positive). The
+convexity test does the same with marginal worths kept as int pairs, and
+the additivity test works in ints over the common denominator of the n
+singleton worths. That is plain int arithmetic with no gcd, so it stays
+exact and fast whatever the denominators. Floats would not be exact, and
+scaling the whole table to one common denominator is not affordable: for
+worths with large coprime denominators that denominator runs to hundreds
+of thousands of bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul, sub
 
 from .bounds import minimal_rights, utopia_payoffs
 from .errors import NotEssentialError
-from .game import TUGame, exact_text
+from .game import TUGame, additive_table, exact_text
 
 
 @dataclass(frozen=True)
@@ -54,11 +74,63 @@ def essential_surplus(game: TUGame, need: str) -> Fraction:
 
 
 def is_superadditive(game: TUGame) -> bool:
-    """v(S union T) >= v(S) + v(T) for every disjoint nonempty pair."""
+    """v(S union T) >= v(S) + v(T) for every disjoint nonempty pair.
+
+    Settled by the sign of the surplus, then by additivity (surplus 0) or
+    convexity (surplus > 0); the full pair scan runs only on a game with
+    positive surplus that is not convex.
+    """
     table = game.table
+    singles = game.singleton_values()
+    surplus = game.grand_value - sum(singles)
+    if surplus < 0:
+        return False
+    if surplus == 0:
+        return _is_additive(table, singles)
     nums = [v.numerator for v in table]
     dens = [v.denominator for v in table]
-    full = game.grand_mask
+    return _is_convex(nums, dens, game.n) or _pairs_superadditive(nums, dens, game.grand_mask)
+
+
+def _is_additive(table, singles) -> bool:
+    """v(S) = sum of v_i over S for every S, in ints over d, the common
+    denominator of the singleton worths: the sum is A_S / d for an int A_S,
+    and it equals v(S) = p_S / q_S exactly when p_S * d = A_S * q_S."""
+    d = lcm(*(v.denominator for v in singles))
+    sums = additive_table([v.numerator * (d // v.denominator) for v in singles])
+    return all(v.numerator * d == total * v.denominator for v, total in zip(table, sums))
+
+
+def _is_convex(nums, dens, n: int) -> bool:
+    """v(S | i | j) - v(S | j) >= v(S | i) - v(S) for all players i < j and
+    every S without them: the marginal worth of i never falls when j joins.
+
+    For each i the marginal worth at every mask s is formed once, with
+    C-level maps, as the int pair (p_{s+i} * q_s - p_s * q_{s+i},
+    q_{s+i} * q_s); read only where s lacks i, where s + i = s | i. Pairs
+    are compared by cross-multiplying.
+    """
+    full = (1 << n) - 1
+    for i in range(n - 1):
+        bit = 1 << i
+        gain_nums = list(map(sub, map(mul, nums[bit:], dens), map(mul, nums, dens[bit:])))
+        gain_dens = list(map(mul, dens[bit:], dens))
+        for j in range(i + 1, n):
+            other = 1 << j
+            rest = full ^ bit ^ other
+            s = rest
+            while True:
+                t = s | other
+                if gain_nums[s] * gain_dens[t] > gain_nums[t] * gain_dens[s]:
+                    return False
+                if not s:
+                    break
+                s = (s - 1) & rest
+    return True
+
+
+def _pairs_superadditive(nums, dens, full: int) -> bool:
+    """The full O(3**n) scan of every unordered disjoint nonempty pair."""
     for s in range(1, full + 1):
         ps = nums[s]
         qs = dens[s]
@@ -133,13 +205,15 @@ def classify(game: TUGame) -> GameClassification:
     A game with singleton sum above v(N), or with singleton sum equal to
     v(N) but no superadditivity, is neither essential nor inessential; both
     flags come back False and the solvers report their own statuses.
+    A superadditive game is weakly superadditive, so that scan runs only
+    when superadditivity fails.
     """
     surplus = game.grand_value - sum(game.singleton_values())
     superadditive = is_superadditive(game)
     return GameClassification(
         essential=surplus > 0,
         inessential=surplus == 0 and superadditive,
-        weakly_superadditive=is_weakly_superadditive(game),
+        weakly_superadditive=superadditive or is_weakly_superadditive(game),
         superadditive=superadditive,
         weakly_constant_sum=is_weakly_constant_sum(game),
         quasibalanced=is_quasibalanced(game),

@@ -5,10 +5,20 @@ from pathlib import Path
 
 import pytest
 
-from tugame import CostGame, TUGame
+from tugame import CostGame, TUGame, gately_point
 from tugame.cli import run
+from tugame.gately import GatelyStatus
 
 DATA = Path(__file__).parent / "data"
+
+try:
+    from hypothesis import settings
+except ImportError:  # a test extra; the property tests skip without it
+    pass
+else:
+    # the same examples on every run, and no example database on disk
+    settings.register_profile("tugame", derandomize=True, database=None, deadline=None)
+    settings.load_profile("tugame")
 
 
 @pytest.fixture
@@ -75,6 +85,23 @@ def degenerate_pairs() -> TUGame:
     values.update(dict.fromkeys([(1, 2), (1, 3), (2, 3)], 2))
     values[(1, 2, 3)] = 3
     return TUGame(3, values)
+
+
+def assert_gately_gate(game: TUGame, flags) -> None:
+    """`gately_point`'s status agrees with the definitions' flags: the
+    inessential boundary at (v_1, ..., v_n), no point for a game that is
+    neither essential nor inessential, and a solved status otherwise."""
+    result = gately_point(game)
+    if flags.inessential:
+        assert result.status is GatelyStatus.INESSENTIAL_BOUNDARY
+        assert result.point == game.singleton_values()
+    elif not flags.essential:
+        assert result.status is GatelyStatus.NOT_ESSENTIAL
+    else:
+        assert result.status not in (
+            GatelyStatus.INESSENTIAL_BOUNDARY,
+            GatelyStatus.NOT_ESSENTIAL,
+        )
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:

@@ -1,3 +1,5 @@
+import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -96,6 +98,20 @@ def test_non_finite_decimals_are_bad_numbers(token):
 
 def test_finite_decimals_convert_exactly():
     assert TUGame(1, {(1,): Decimal("14.5")}).value(1) == Fraction(29, 2)
+    assert to_fraction(Decimal("-2.50E+3")) == -2500
+    assert to_fraction(Decimal("1E-4")) == Fraction(1, 10**4)
+    digits = "9" * (sys.get_int_max_str_digits() - 1)
+    assert to_fraction(Decimal(digits)) == int(digits)
+
+
+@pytest.mark.parametrize("token", ["1E+10000000", "1E-10000000", "-7E+4300", "1E-4300"])
+def test_decimals_past_the_digit_limit_are_bad_numbers(token):
+    started = time.perf_counter()
+    with pytest.raises(BadNumberError):
+        to_fraction(Decimal(token))
+    with pytest.raises(BadNumberError):
+        TUGame(1, {(1,): Decimal(token)})
+    assert time.perf_counter() - started < 0.5
 
 
 def test_empty_key_names_the_empty_coalition():

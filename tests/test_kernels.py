@@ -1,4 +1,4 @@
-"""Differential tests of the exact bitmask kernels at n = 5..8.
+"""Differential tests of the exact bitmask kernels at n = 2..8, and budgets at n = 16.
 
 `is_superadditive`, `is_weakly_superadditive` and `minimal_rights` compare
 rationals by cross-multiplying numerators and denominators. Each is
@@ -7,6 +7,12 @@ formulas over `Fraction` with unrelated loops, on three kinds of input:
 worths with large (mostly coprime) denominators, knife-edge games whose
 inequalities hold with equality across different denominators, and games
 with ties in the minimal-rights maximum.
+
+`is_superadditive` settles most games without its O(3**n) pair scan: by
+the sign of the surplus, by additivity at zero surplus, and by convexity
+at positive surplus. The shortcut families at n = 2..8 check each of
+those answers, and which games still reach the scan, on both sides of
+every boundary; the n = 16 budget tests check that the shortcuts pay.
 """
 
 import random
@@ -20,14 +26,19 @@ import tugame.tau
 from tugame import (
     TUGame,
     classify,
+    gately_point,
     is_superadditive,
     is_weakly_superadditive,
     minimal_rights,
     tau_value,
     utopia_payoffs,
 )
+from tugame.game import additive_table
+from tugame.gately import GatelyStatus
 from tugame.oracle import recompute_by_definition
 from tugame.tau import TauStatus
+
+from conftest import assert_gately_gate
 
 SIZES = (5, 6, 7, 8)
 BIG = 10**6
@@ -77,10 +88,12 @@ def _superadditive(rng, n):
 
 def _assert_kernels_agree(game):
     ref = recompute_by_definition(game)
-    assert is_superadditive(game) == ref.classification.superadditive
-    assert is_weakly_superadditive(game) == ref.classification.weakly_superadditive
+    flags = ref.classification
+    assert is_superadditive(game) == flags.superadditive
+    assert is_weakly_superadditive(game) == flags.weakly_superadditive
     assert minimal_rights(game) == ref.minimal_rights
-    assert classify(game) == ref.classification
+    assert classify(game) == flags
+    assert_gately_gate(game, flags)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -185,6 +198,173 @@ def test_ties_in_the_minimal_rights_maximum(n):
         _assert_kernels_agree(game)
 
 
+SHORTCUT_SIZES = range(2, 9)
+RESOLUTIONS = ("small", "coprime")
+
+
+def _weights(rng, n, resolution):
+    if resolution == "small":
+        return [Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 6))) for _ in range(n)]
+    return [_big_fraction(rng) for _ in range(n)]
+
+
+def _step(rng, resolution):
+    """The smallest move of one worth: 1/12 on the grid of the small
+    denominators, else 1/q for a fresh q up to 10**6."""
+    return Fraction(1, 12) if resolution == "small" else Fraction(1, rng.randint(2, BIG))
+
+
+def _curvature(rng, resolution):
+    if resolution == "small":
+        return Fraction(rng.randint(1, 6), rng.choice((1, 2, 3, 4, 6)))
+    return _big_fraction(rng, 1, 2)
+
+
+def _convex_table(n, weights, curvature):
+    """v(S) = sum of w_i over S + curvature * |S|**2: every convexity check
+    holds with margin 2 * curvature."""
+    sums = additive_table(weights)
+    return [w + curvature * mask.bit_count() ** 2 for mask, w in enumerate(sums)]
+
+
+def _convex_by_definition(table, n):
+    return all(
+        table[s | 1 << i | 1 << j] + table[s] >= table[s | 1 << i] + table[s | 1 << j]
+        for i in range(n)
+        for j in range(i + 1, n)
+        for s in range(1 << n)
+        if not s & (1 << i | 1 << j)
+    )
+
+
+def _raised_below_grand(n, weights, curvature, raise_by):
+    """The convex table with every (n - 1)-player worth raised by
+    `raise_by`. The top convexity check v(N) + v(N - i - j) >=
+    v(N - i) + v(N - j) then has margin 2 * (curvature - raise_by), and the
+    tightest pair v(N) >= v(N - i) + v_i margin 2 * curvature * (n - 1) -
+    raise_by; every other pair gains. So the game is convex up to
+    raise_by = curvature and superadditive up to 2 * curvature * (n - 1)."""
+    table = _convex_table(n, weights, curvature)
+    full = (1 << n) - 1
+    for i in range(n):
+        table[full ^ 1 << i] += raise_by
+    return table
+
+
+@pytest.fixture
+def full_scans(monkeypatch):
+    """Records each run of the O(3**n) pair scan."""
+    calls = []
+    scan = tugame.properties._pairs_superadditive
+    monkeypatch.setattr(
+        tugame.properties, "_pairs_superadditive", lambda *args: calls.append(1) or scan(*args)
+    )
+    return calls
+
+
+def _assert_decided(table, superadditive, scanned, full_scans):
+    """`is_superadditive` answers `superadditive`, reaching the full scan
+    exactly when `scanned`, and every flag matches the definitions."""
+    game = _game(len(table).bit_length() - 1, table.__getitem__)
+    full_scans.clear()
+    assert is_superadditive(game) is superadditive
+    assert bool(full_scans) is scanned
+    _assert_kernels_agree(game)
+
+
+@pytest.mark.parametrize("resolution", RESOLUTIONS)
+@pytest.mark.parametrize("n", SHORTCUT_SIZES)
+def test_additive_games_are_decided_without_the_scan(n, resolution, full_scans):
+    rng = random.Random(1200 + n)
+    table = additive_table(_weights(rng, n, resolution))
+    _assert_decided(table, True, False, full_scans)
+    assert classify(_game(n, table.__getitem__)).inessential
+
+
+@pytest.mark.parametrize("resolution", RESOLUTIONS)
+@pytest.mark.parametrize("n", SHORTCUT_SIZES)
+def test_convex_games_are_decided_without_the_scan(n, resolution, full_scans):
+    rng = random.Random(1300 + n)
+    weights, curvature = _weights(rng, n, resolution), _curvature(rng, resolution)
+    table = _convex_table(n, weights, curvature)
+    assert _convex_by_definition(table, n)
+    _assert_decided(table, True, False, full_scans)
+    if n >= 3:
+        # convex with the top check tight, then one step past it: still
+        # superadditive, but only the full scan can say so
+        tight = _raised_below_grand(n, weights, curvature, curvature)
+        assert _convex_by_definition(tight, n)
+        _assert_decided(tight, True, False, full_scans)
+        past = _raised_below_grand(n, weights, curvature, curvature + _step(rng, resolution))
+        assert not _convex_by_definition(past, n)
+        _assert_decided(past, True, True, full_scans)
+
+
+@pytest.mark.parametrize("resolution", RESOLUTIONS)
+@pytest.mark.parametrize("n", range(3, 9))
+def test_superadditive_games_that_are_not_convex(n, resolution, full_scans):
+    """Raising the (n - 1)-player worths by 2 * curvature * (n - 1) makes
+    v(N) >= v(N - i) + v_i tight; one step either side of it decides."""
+    rng = random.Random(1400 + n)
+    weights, curvature = _weights(rng, n, resolution), _curvature(rng, resolution)
+    edge = 2 * curvature * (n - 1)
+    step = _step(rng, resolution)
+    for raise_by, superadditive in ((edge - step, True), (edge, True), (edge + step, False)):
+        table = _raised_below_grand(n, weights, curvature, raise_by)
+        assert not _convex_by_definition(table, n)
+        _assert_decided(table, superadditive, True, full_scans)
+
+
+@pytest.mark.parametrize("resolution", RESOLUTIONS)
+@pytest.mark.parametrize("n", SHORTCUT_SIZES)
+def test_near_misses_on_both_sides_of_a_tight_pair(n, resolution, full_scans):
+    rng = random.Random(1500 + n)
+    weights, curvature = _weights(rng, n, resolution), _curvature(rng, resolution)
+    step = _step(rng, resolution)
+    full = (1 << n) - 1
+
+    # v(N) of an additive game: up is convex, down is a negative surplus
+    for move, superadditive in ((step, True), (-step, False)):
+        table = additive_table(weights)
+        table[full] += move
+        _assert_decided(table, superadditive, False, full_scans)
+
+    # a proper coalition of an additive game: zero surplus, not additive
+    if n >= 3:
+        mask = rng.choice([m for m in range(3, full) if m.bit_count() >= 2])
+        for move in (step, -step):
+            table = additive_table(weights)
+            table[mask] += move
+            _assert_decided(table, False, False, full_scans)
+
+    # v({1,2}) = v_1 + v_2 in a convex game stays convex; one step below
+    # breaks that pair, one step above keeps every check (at n = 2 this is
+    # the v(N) case above)
+    if n >= 3:
+        cases = ((0, True, False), (-step, False, True), (step, True, False))
+        for move, superadditive, scanned in cases:
+            table = _convex_table(n, weights, curvature)
+            table[0b11] = table[0b01] + table[0b10] + move
+            _assert_decided(table, superadditive, scanned, full_scans)
+
+
+@pytest.mark.parametrize("resolution", RESOLUTIONS)
+@pytest.mark.parametrize("n", range(3, 9))
+def test_zero_and_negative_surplus_without_additivity(n, resolution, full_scans):
+    """v(N) set to the singleton sum, or one step below it, in a convex and
+    in an arbitrary game. (At n = 2 zero surplus is additivity.)"""
+    rng = random.Random(1600 + n)
+    weights, curvature = _weights(rng, n, resolution), _curvature(rng, resolution)
+    step = _step(rng, resolution)
+    arbitrary = [Fraction(0)] + _weights(rng, (1 << n) - 1, resolution)
+    for base in (_convex_table(n, weights, curvature), arbitrary):
+        singles = [base[1 << i] for i in range(n)]
+        for grand in (sum(singles), sum(singles) - step):
+            table = base[:-1] + [grand]
+            assert table != additive_table(singles)
+            _assert_decided(table, False, False, full_scans)
+
+
 def test_classify_scans_superadditivity_once(monkeypatch, additive3):
     calls = []
     scan = tugame.properties.is_superadditive
@@ -239,3 +419,42 @@ def test_sixteen_players_within_budget():
     assert sum(result.point) == game.grand_value
     alpha = result.alpha
     assert result.point == tuple(alpha * m + (1 - alpha) * big for m, big in zip(rights, upper))
+
+
+def _primes_below(limit: int, count: int) -> list:
+    primes = []
+    candidate = limit
+    while len(primes) < count:
+        candidate -= 1
+        if all(candidate % d for d in range(2, int(candidate**0.5) + 1)):
+            primes.append(candidate)
+    return primes
+
+
+@pytest.mark.parametrize("family", ["additive", "convex"])
+def test_superadditive_sixteen_player_games_within_budget(family):
+    """classify and gately_point each take < 2 s at n = 16 on the two
+    superadditive families a full pair scan would walk in full: an
+    additive game over 16 distinct primes below 10**6 (zero surplus, so
+    superadditive means additive) and v(S) = |S|**2 / 3 (convex)."""
+    n = 16
+    if family == "additive":
+        rng = random.Random(1616)
+        singles = [Fraction(rng.randint(-q, q), q) for q in _primes_below(BIG, n)]
+        game = _game(n, additive_table(singles).__getitem__)
+        flags = (False, True, True, True, True, True)
+        expected = (GatelyStatus.INESSENTIAL_BOUNDARY, tuple(singles))
+    else:
+        game = _game(n, lambda mask: Fraction(mask.bit_count() ** 2, 3))
+        flags = (True, False, True, True, False, True)
+        expected = (GatelyStatus.UNIQUE_IMPUTATION, (Fraction(n, 3),) * n)
+
+    started = time.perf_counter()
+    classification = classify(game)
+    assert time.perf_counter() - started < 2.0
+    started = time.perf_counter()
+    result = gately_point(game)
+    assert time.perf_counter() - started < 2.0
+
+    assert classification == tugame.properties.GameClassification(*flags)
+    assert (result.status, result.point) == expected
