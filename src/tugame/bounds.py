@@ -24,6 +24,20 @@ def utopia_payoffs(game: TUGame) -> tuple[Fraction, ...]:
     return tuple(grand - table[full ^ (1 << i)] for i in range(game.n))
 
 
+def efficient_point(
+    total: Fraction, start: tuple[Fraction, ...], end: tuple[Fraction, ...]
+) -> tuple[Fraction, tuple[Fraction, ...]] | None:
+    """(t, x) with x = start + t * (end - start) and sum x = total, or None
+    when sum start = sum end: the line is then parallel to the efficient
+    set (or lies in it) and meets it in no single point."""
+    base = sum(start, Fraction(0))
+    span = sum(end, Fraction(0)) - base
+    if span == 0:
+        return None
+    t = (total - base) / span
+    return t, tuple(s + t * (e - s) for s, e in zip(start, end))
+
+
 def remainder(game: TUGame, coalition, player: int) -> Fraction:
     """What stays for `player` if `coalition` forms and every other member
     collects the utopia payoff: v(S) minus the others' M_j."""

@@ -11,9 +11,10 @@ plus a share of the nonseparable cost NSC = c(N) - sum SC_j, in proportion
 to c_i - SC_i. In savings-game terms c_i - SC_i is the utopia payoff M_i
 and NSC is sum M_j - v(N), which is what ties ACA to the Gately point: the
 savings x_i = c_i - y_i of an ACA allocation y are the Gately point of the
-savings game whenever that point is unique. ACA has no answer exactly when
-every c_i equals SC_i, the zero-denominator case, which is the d* = -1
-degeneracy of the savings game.
+savings game whenever that point is unique. `aca_allocation` passes c(N),
+SC and the singleton costs c to `bounds.efficient_point`. ACA has no answer
+exactly when SC and c have equal sums while NSC is not 0 (status
+UndefinedZeroDenominator), the d* = -1 degeneracy of the savings game.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .bounds import utopia_payoffs
+from .bounds import efficient_point, utopia_payoffs
 from .game import CostGame, TUGame
 from .transforms import affine_table
 
@@ -63,27 +64,17 @@ def aca_allocation(cost: CostGame) -> AcaResult:
     """The ACA cost allocation, or the degenerate reason there is none."""
     separable = separable_costs(cost)
     nsc = cost.grand_value - sum(separable)
-    margins = tuple(
-        ci - sci for ci, sci in zip(cost.singleton_values(), separable)
-    )
-    denominator = sum(margins, Fraction(0))
-    if denominator == 0:
-        if nsc != 0:
-            return AcaResult(
-                AcaStatus.UNDEFINED_ZERO_DENOMINATOR,
-                allocation=None,
-                separable=separable,
-                nsc=nsc,
-            )
-        # nothing nonseparable to distribute: the separable costs already
-        # sum to c(N) and stand as the allocation
+    line = efficient_point(cost.grand_value, separable, cost.singleton_values())
+    if line is None and nsc != 0:
         return AcaResult(
-            AcaStatus.ALLOCATED, allocation=separable, separable=separable, nsc=nsc
+            AcaStatus.UNDEFINED_ZERO_DENOMINATOR,
+            allocation=None,
+            separable=separable,
+            nsc=nsc,
         )
-    allocation = tuple(
-        sci + nsc * margin / denominator
-        for sci, margin in zip(separable, margins)
-    )
+    # with no proportional split to make (NSC = 0) the separable costs
+    # already sum to c(N) and stand as the allocation
+    allocation = separable if line is None else line[1]
     status = AcaStatus.ALLOCATED if nsc >= 0 else AcaStatus.ALLOCATED_NEGATIVE_NSC
     return AcaResult(status, allocation=allocation, separable=separable, nsc=nsc)
 

@@ -12,18 +12,18 @@ players, and the common value has the closed form
     d* = (sum M_j - v(N)) / (v(N) - sum v_j),
 
 defined for essential games only. Solving d(i, x) = d* for all i yields a
-single efficient point on the half-line from (v_1, ..., v_n) toward
-(M_1, ..., M_n):
+single efficient point on the half-line from the singleton worths
+v = (v_1, ..., v_n) toward the utopia payoffs M = (M_1, ..., M_n):
+`gately_point` passes v(N), v and M to `bounds.efficient_point`, whose
+parameter t gives x = v + t * (M - v) and d* = 1/t - 1.
 
-    x_i = v_i + (v(N) - sum v_j) * (M_i - v_i) / (sum M_j - sum v_j).
-
-That point exists and is an imputation unless d* = -1, i.e. unless the
-utopia vector and the singleton vector have equal sums; the weakly
-constant-sum games (M = v componentwise) are the prominent case, where
-every imputation equalizes the propensities and no single point can be
-singled out. `gately_point` encodes the full gate as a status instead of
-raising, including the convention that an inessential game is answered
-with its forced imputation (v_1, ..., v_n).
+That point exists unless d* = -1, i.e. unless v and M have equal sums
+(status UndefinedEqualPropensityMinusOne); the weakly constant-sum games
+(M = v componentwise) are the prominent case, where every imputation
+equalizes the propensities and no single point can be singled out.
+`gately_point` encodes the full gate as a status instead of raising,
+including the convention that an inessential game is answered with its
+forced imputation (v_1, ..., v_n).
 """
 
 from __future__ import annotations
@@ -32,14 +32,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .bounds import utopia_payoffs
+from .bounds import efficient_point, utopia_payoffs
 from .errors import (
     AtLowerBoundError,
     BelowLowerBoundError,
     GameError,
     NotEfficientError,
 )
-from .game import TUGame, exact_text
+from .game import TUGame, exact_text, to_fraction
 from .properties import essential_surplus, is_essential, is_inessential
 
 
@@ -79,12 +79,12 @@ def propensity_to_disrupt(
     The allocation must be efficient and must pay the player strictly more
     than the singleton worth; the ratio is undefined at the lower bound.
     """
-    x = tuple(allocation)
+    x = tuple(to_fraction(xi) for xi in allocation)
     if len(x) != game.n:
         raise GameError(
             f"allocation has {len(x)} entries for a {game.n}-player game"
         )
-    if player < 1 or player > game.n:
+    if isinstance(player, bool) or player < 1 or player > game.n:
         raise GameError(f"player {player} outside 1..{game.n}")
     total = sum(x, Fraction(0))
     if total != game.grand_value:
@@ -136,21 +136,15 @@ def gately_point(game: TUGame) -> GatelyResult:
     if not is_essential(game):
         return GatelyResult(GatelyStatus.NOT_ESSENTIAL)
 
-    upper = utopia_payoffs(game)
-    spread = sum(upper) - sum(singles)
-    if spread == 0:
+    line = efficient_point(game.grand_value, singles, utopia_payoffs(game))
+    if line is None:
         return GatelyResult(
             GatelyStatus.EQUAL_PROPENSITY_MINUS_ONE, d_star=Fraction(-1)
         )
 
-    surplus = game.grand_value - sum(singles)
-    t = surplus / spread
-    point = tuple(vi + t * (mi - vi) for vi, mi in zip(singles, upper))
-    d_star = (sum(upper) - game.grand_value) / surplus
-
-    # individual rationality holds iff every (M_i - v_i) / spread >= 0
-    if all((mi - vi) / spread >= 0 for vi, mi in zip(singles, upper)):
+    t, point = line
+    if all(xi >= vi for xi, vi in zip(point, singles)):
         status = GatelyStatus.UNIQUE_IMPUTATION
     else:
         status = GatelyStatus.OUTSIDE_IMPUTATION_SET
-    return GatelyResult(status, point=point, d_star=d_star, line_parameter=t)
+    return GatelyResult(status, point=point, d_star=1 / t - 1, line_parameter=t)

@@ -6,9 +6,11 @@ the utopia vector M crosses the efficient hyperplane exactly once, at
     tau = alpha * m + (1 - alpha) * M,
     alpha = (sum M_j - v(N)) / (sum M_j - sum m_j),
 
-and quasibalancedness pins alpha into [0, 1]. When the two endpoint sums
-coincide the vectors coincide componentwise and the single point M is
-itself the answer.
+and quasibalancedness pins alpha into [0, 1]. `tau_value` passes v(N),
+the utopia vector M and the minimal rights m to `bounds.efficient_point`,
+so the line parameter from M toward m is alpha itself. When the two
+endpoint sums coincide the vectors coincide componentwise and the single
+point M is itself the answer (status DegenerateEndpoints).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .bounds import minimal_rights, utopia_payoffs
+from .bounds import efficient_point, minimal_rights, utopia_payoffs
 from .game import TUGame
 from .properties import _quasibalanced
 
@@ -46,14 +48,11 @@ def tau_value(game: TUGame) -> TauResult:
     if not _quasibalanced(game, lower, upper):
         return TauResult(TauStatus.NOT_QUASIBALANCED)
 
-    span = sum(upper) - sum(lower)
-    if span == 0:
+    line = efficient_point(game.grand_value, upper, lower)
+    if line is None:
         # m_i <= M_i with equal sums forces m = M; the common point is
         # efficient by the quasibalancedness sandwich.
         return TauResult(TauStatus.DEGENERATE_ENDPOINTS, point=upper)
 
-    alpha = (sum(upper) - game.grand_value) / span
-    point = tuple(
-        alpha * m + (1 - alpha) * big for m, big in zip(lower, upper)
-    )
+    alpha, point = line
     return TauResult(TauStatus.UNIQUE, point=point, alpha=alpha)

@@ -6,6 +6,7 @@ import pytest
 from tugame import (
     AtLowerBoundError,
     BelowLowerBoundError,
+    GameError,
     GatelyStatus,
     NotEfficientError,
     NotEssentialError,
@@ -43,6 +44,15 @@ def test_propensity_domain_errors(ex2):
         propensity_to_disrupt(ex2, (3, 5, Fraction(13, 2)), 1)
     with pytest.raises(BelowLowerBoundError):
         propensity_to_disrupt(ex2, (2, 6, Fraction(13, 2)), 1)
+
+
+def test_propensity_converts_entries_exactly_and_refuses_bool_players():
+    game = TUGame(2, {(1,): 0, (2,): 0, (1, 2): 1})
+    assert propensity_to_disrupt(game, ("1/4", Fraction(3, 4)), 1) == 3
+    with pytest.raises(TypeError, match="refusing float"):
+        propensity_to_disrupt(game, [0.25, 0.75], 1)
+    with pytest.raises(GameError, match="player True"):
+        propensity_to_disrupt(game, (Fraction(1, 4), Fraction(3, 4)), True)
 
 
 def test_equal_propensity_examples(ex1, ex2, symmetric_unit):

@@ -24,7 +24,9 @@ import pytest
 import tugame.properties
 import tugame.tau
 from tugame import (
+    CostGame,
     TUGame,
+    aca_allocation,
     classify,
     gately_point,
     is_superadditive,
@@ -33,6 +35,7 @@ from tugame import (
     tau_value,
     utopia_payoffs,
 )
+from tugame.costs import AcaStatus
 from tugame.game import additive_table
 from tugame.gately import GatelyStatus
 from tugame.oracle import recompute_by_definition
@@ -390,14 +393,16 @@ def test_tau_value_computes_minimal_rights_once(monkeypatch, symmetric_unit):
 
 
 def test_sixteen_players_within_budget():
-    """minimal_rights and tau_value each take < 2 s on a 16-player game
-    whose worths have large, mostly coprime denominators. Proper
-    coalitions are worth between -1 and 1 and v(N) about 2n, which makes
-    the game essential and quasibalanced."""
+    """minimal_rights, tau_value, classify, gately_point and aca_allocation
+    each take < 2 s on a 16-player game whose worths have large, mostly
+    coprime denominators. Proper coalitions are worth between -1 and 1
+    and v(N) about 2n, which makes the game essential and quasibalanced;
+    ACA runs on the cost game over the same table."""
     n = 16
     full = (1 << n) - 1
     rng = random.Random(16)
     game = _game(n, lambda mask: _big_fraction(rng) + (2 * n if mask == full else 0))
+    cost = CostGame(n, {mask: game.table[mask] for mask in range(1, 1 << n)})
 
     started = time.perf_counter()
     rights = minimal_rights(game)
@@ -405,6 +410,21 @@ def test_sixteen_players_within_budget():
     started = time.perf_counter()
     result = tau_value(game)
     assert time.perf_counter() - started < 2.0
+    started = time.perf_counter()
+    flags = classify(game)
+    assert time.perf_counter() - started < 2.0
+    started = time.perf_counter()
+    gately = gately_point(game)
+    assert time.perf_counter() - started < 2.0
+    started = time.perf_counter()
+    aca = aca_allocation(cost)
+    assert time.perf_counter() - started < 2.0
+
+    assert flags == tugame.properties.GameClassification(True, False, False, False, False, True)
+    assert gately.status is GatelyStatus.UNIQUE_IMPUTATION
+    assert sum(gately.point) == game.grand_value
+    assert aca.status is AcaStatus.ALLOCATED_NEGATIVE_NSC
+    assert sum(aca.allocation) == cost.grand_value
 
     # player 1's right, recomputed over Fraction: others[k] is the utopia
     # sum of the other members of coalition 2k + 1

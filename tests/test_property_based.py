@@ -1,10 +1,16 @@
-"""Property tests: `classify` and the Gately gate against the definitions.
+"""Property tests: bounds, flags and solvers against the definitions.
 
 Games at n = 1..8 come in two shapes. A shaped game is additive plus a
 convex function of the coalition size, with up to three worths moved and
 v(N) optionally set to the singleton sum or just below it; that reaches
 every shortcut of `is_superadditive` and both sides of its boundaries.
+A shaped game may instead draw v(N) and set v(N minus i) = v(N) - v_i
+for every i, so that M = v: the Gately line of the game, or of the
+savings game of the cost game over the same table, has equal endpoint
+sums.
 An arbitrary game draws every worth over its own denominator up to 10**6.
+Each game is also read as a cost game over the same table, whose ACA
+allocation must be dual to the Gately point of its savings game.
 Hypothesis runs derandomized (the profile in conftest.py), so the drawn
 games are the same on every run.
 """
@@ -18,7 +24,21 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tugame import TUGame, classify, recompute_by_definition
+from tugame import (
+    CostGame,
+    GatelyStatus,
+    TauStatus,
+    TUGame,
+    aca_allocation,
+    classify,
+    gately_point,
+    minimal_rights,
+    propensity_to_disrupt,
+    recompute_by_definition,
+    savings_game,
+    tau_value,
+    utopia_payoffs,
+)
 from tugame.game import additive_table
 
 from conftest import assert_gately_gate
@@ -44,11 +64,15 @@ def shaped_tables(draw, n):
         table[mask] += move / BIG
     if n >= 2:
         singles = sum(table[1 << i] for i in range(n))
-        grand = draw(st.sampled_from(("kept", "zero surplus", "negative surplus")))
+        grand = draw(st.sampled_from(("kept", "zero surplus", "negative surplus", "constant sum")))
         if grand == "zero surplus":
             table[full] = singles
         elif grand == "negative surplus":
             table[full] = singles - Fraction(1, draw(denominators))
+        elif grand == "constant sum":
+            table[full] = singles + draw(fractions)
+            for i in range(n):
+                table[full ^ (1 << i)] = table[full] - table[1 << i]
     return table
 
 
@@ -68,7 +92,43 @@ def games(draw):
 
 @settings(max_examples=300)
 @given(games())
-def test_flags_and_gately_gate_match_the_definitions(game):
-    flags = recompute_by_definition(game).classification
+def test_bounds_flags_and_solvers_match_the_definitions(game):
+    report = recompute_by_definition(game)
+    flags, upper, lower = report.classification, report.utopia, report.minimal_rights
+    assert utopia_payoffs(game) == upper
+    assert minimal_rights(game) == lower
     assert classify(game) == flags
     assert_gately_gate(game, flags)
+
+    singles = game.singleton_values()
+    gately = gately_point(game)
+    if gately.status in (GatelyStatus.UNIQUE_IMPUTATION, GatelyStatus.OUTSIDE_IMPUTATION_SET):
+        assert sum(gately.point) == game.grand_value
+        assert (gately.status is GatelyStatus.UNIQUE_IMPUTATION) == all(
+            x >= v for x, v in zip(gately.point, singles)
+        )
+        for player, (x, v) in enumerate(zip(gately.point, singles), start=1):
+            if x > v:
+                assert propensity_to_disrupt(game, gately.point, player) == gately.d_star
+
+    tau = tau_value(game)
+    assert (tau.status is not TauStatus.NOT_QUASIBALANCED) == flags.quasibalanced
+    if tau.status is TauStatus.UNIQUE:
+        alpha = tau.alpha
+        assert 0 <= alpha <= 1
+        assert tau.point == tuple(alpha * m + (1 - alpha) * big for m, big in zip(lower, upper))
+        assert sum(tau.point) == game.grand_value
+    elif tau.status is TauStatus.DEGENERATE_ENDPOINTS:
+        assert tau.point == upper == lower
+
+    # c_i - y_i of the ACA allocation y is the Gately point of the savings
+    # game wherever that point exists
+    cost = CostGame(game.n, {mask: game.table[mask] for mask in range(1, 1 << game.n)})
+    savings = gately_point(savings_game(cost))
+    aca = aca_allocation(cost)
+    if savings.point is not None:
+        assert aca.allocation is not None
+        assert sum(aca.allocation) == cost.grand_value
+        assert savings.point == tuple(c - y for c, y in zip(cost.singleton_values(), aca.allocation))
+    if savings.status is GatelyStatus.EQUAL_PROPENSITY_MINUS_ONE:
+        assert aca.allocation is None
