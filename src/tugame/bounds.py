@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import sub
 
 from .errors import PlayerNotInCoalitionError
-from .game import TUGame, additive_table, as_mask, coalition_key
+from .game import TUGame, additive_table, as_mask, bit_slices, coalition_key, is_player
 
 
 def utopia_payoffs(game: TUGame) -> tuple[Fraction, ...]:
@@ -42,7 +43,7 @@ def remainder(game: TUGame, coalition, player: int) -> Fraction:
     """What stays for `player` if `coalition` forms and every other member
     collects the utopia payoff: v(S) minus the others' M_j."""
     mask = as_mask(coalition, game.n)
-    if player < 1 or player > game.n or not mask & (1 << (player - 1)):
+    if not is_player(player, game.n) or not mask & (1 << (player - 1)):
         raise PlayerNotInCoalitionError(
             f"player {player} is not in coalition {{{coalition_key(mask)}}}"
         )
@@ -61,15 +62,32 @@ def minimal_rights(game: TUGame) -> tuple[Fraction, ...]:
 
     Computed as m_i = M_i + max over S containing i of r(S), where
     r(S) = v(S) - sum of M_j over S is the same for every member, so it is
-    formed once per coalition. The utopia sums are ints over d, the common
-    denominator of the n utopia payoffs (never of the whole table), and
-    r(S) is kept as the int pair (p_S * d - q_S * d * sum M_S, q_S), whose
-    quotient is r(S) * d. Pairs are compared by cross-multiplying, so no
-    gcd is taken until the n results are built.
+    formed once per coalition.
+
+    When the game's integer view w = v * D exists (D, the common
+    denominator of the table, at most 2**64), each M_i * D is an int, r * D
+    is one C-level `map(sub)` of w and the utopia sums, and each maximum is
+    a C-level `max` over the slices of the masks that contain i.
+
+    Otherwise the utopia sums are ints over d, the common denominator of
+    the n utopia payoffs (never of the whole table), and r(S) is kept as
+    the int pair (p_S * d - q_S * d * sum M_S, q_S), whose quotient is
+    r(S) * d. Pairs are compared by cross-multiplying, so no gcd is taken
+    until the n results are built.
     """
-    table = game.table
     n = game.n
     payoffs = utopia_payoffs(game)
+    view = game._int_view()
+    if view is not None:
+        d, w = view
+        upper = [m.numerator * (d // m.denominator) for m in payoffs]
+        rest = list(map(sub, w, additive_table(upper)))
+        return tuple(
+            Fraction(upper[i] + max(max(rest[having]) for _, having in bit_slices(n, i)), d)
+            for i in range(n)
+        )
+
+    table = game.table
     d = lcm(*(m.denominator for m in payoffs))
     scaled = [m.numerator * (d // m.denominator) for m in payoffs]
 

@@ -7,6 +7,9 @@ empty coalition is representable and always worth 0. Both ways in, the
 game constructor and `gamefile.parse_game`, fill and validate the table
 through one builder, `build_table`.
 
+A game builds its integer view (`_int_view`) on first use; the kernels
+in `properties` and `bounds` scan it over the slices of `bit_slices`.
+
 All worths are `fractions.Fraction` values. Binary floats are refused on
 input: the degeneracy checks downstream hinge on knife-edge equalities that
 rounding would corrupt, so decimal text must be converted from its digit
@@ -19,6 +22,7 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Mapping
 
 from .errors import (
@@ -33,6 +37,11 @@ from .errors import (
 )
 
 MAX_PLAYERS = 16
+
+# The largest common denominator the integer view takes: its ints then
+# span a few machine words, not the hundreds of thousands of bits that
+# large coprime denominators reach.
+_VIEW_LIMIT = 1 << 64
 
 ZERO = Fraction(0)
 
@@ -162,6 +171,26 @@ def additive_table(weights) -> list:
     return sums
 
 
+def bit_slices(n: int, i: int) -> list[tuple[slice, slice]]:
+    """Pairs (lacking, having) of slices of a mask-indexed list of length
+    2**n. The `lacking` slices together cover every mask without bit i,
+    and each `having` slice holds the same masks with bit i set, in the
+    same order. A low bit takes 2**i strided slices and a high bit
+    2**(n - i - 1) contiguous blocks, whichever is fewer, so no bit needs
+    more than 2**(n // 2) pairs."""
+    size = 1 << n
+    low = 1 << i
+    step = low << 1
+    if low <= size // step:
+        return [(slice(o, size, step), slice(o + low, size, step)) for o in range(low)]
+    return [(slice(b, b + low), slice(b + low, b + step)) for b in range(0, size, step)]
+
+
+def is_player(player, n: int) -> bool:
+    """True when `player` is an int in 1..n; a bool is not a player."""
+    return isinstance(player, int) and not isinstance(player, bool) and 1 <= player <= n
+
+
 _KEY_PATTERN = re.compile(r"[1-9][0-9]*(?:,[1-9][0-9]*)*")
 
 
@@ -240,7 +269,9 @@ class _CharacteristicGame:
 
     kind = ""
 
-    __slots__ = ("_n", "_table")
+    # `_ints` holds the integer view once `_int_view` has built it; it is
+    # derived from `_table`, so equality, hashing and repr ignore it.
+    __slots__ = ("_n", "_table", "_ints")
 
     def __init__(self, n: int, values: Mapping):
         self._table = build_table(n, values, to_fraction)
@@ -253,6 +284,27 @@ class _CharacteristicGame:
         game._n = n
         game._table = table
         return game
+
+    def _int_view(self) -> tuple[int, list] | None:
+        """(D, w): D the lcm of the table's denominators and w[S] = v(S) * D
+        as ints, or None when D exceeds 2**64. Built on first use; the lcm
+        pass stops at the first denominator that takes D past the limit."""
+        try:
+            return self._ints
+        except AttributeError:
+            pass
+        view = None
+        d = 1
+        for worth in self._table:
+            q = worth.denominator
+            if d % q:
+                d = lcm(d, q)
+                if d > _VIEW_LIMIT:
+                    break
+        else:
+            view = d, [v.numerator * (d // v.denominator) for v in self._table]
+        self._ints = view
+        return view
 
     @property
     def n(self) -> int:

@@ -39,7 +39,7 @@ from .errors import (
     GameError,
     NotEfficientError,
 )
-from .game import TUGame, exact_text, to_fraction
+from .game import TUGame, exact_text, is_player, to_fraction
 from .properties import essential_surplus, is_essential, is_inessential
 
 
@@ -84,7 +84,7 @@ def propensity_to_disrupt(
         raise GameError(
             f"allocation has {len(x)} entries for a {game.n}-player game"
         )
-    if isinstance(player, bool) or player < 1 or player > game.n:
+    if not is_player(player, game.n):
         raise GameError(f"player {player} outside 1..{game.n}")
     total = sum(x, Fraction(0))
     if total != game.grand_value:

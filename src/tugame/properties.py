@@ -21,8 +21,13 @@ none of three exact shortcuts settles the answer first:
   for the full scan.
 
 The tests compare exact rationals without building a `Fraction` per
-comparison. The pair scans read the numerators p and denominators q of
-the worth table once, then test v(U) >= v(S) + v(T) for U = S | T as
+comparison. When the common denominator D of the whole table is at most
+2**64, the game's integer view w(S) = v(S) * D turns every worth into an
+int of a few machine words, and the convexity test compares those ints
+with C-level maps over slices of the table. Otherwise (for worths with
+large coprime denominators D runs to hundreds of thousands of bits) the
+tests read the numerators p and denominators q of the worth table once,
+and the pair scans test v(U) >= v(S) + v(T) for U = S | T as
 
     p_U * q_S * q_T >= (p_S * q_T + p_T * q_S) * q_U,
 
@@ -31,10 +36,7 @@ q_S * q_T * q_U (a `Fraction` denominator is always positive). The
 convexity test does the same with marginal worths kept as int pairs, and
 the additivity test works in ints over the common denominator of the n
 singleton worths. That is plain int arithmetic with no gcd, so it stays
-exact and fast whatever the denominators. Floats would not be exact, and
-scaling the whole table to one common denominator is not affordable: for
-worths with large coprime denominators that denominator runs to hundreds
-of thousands of bits.
+exact and fast whatever the denominators. Floats are never used.
 """
 
 from __future__ import annotations
@@ -42,11 +44,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul, sub
+from operator import ge, mul, sub
 
 from .bounds import minimal_rights, utopia_payoffs
 from .errors import NotEssentialError
-from .game import TUGame, additive_table, exact_text
+from .game import TUGame, additive_table, bit_slices, exact_text
 
 
 @dataclass(frozen=True)
@@ -87,9 +89,14 @@ def is_superadditive(game: TUGame) -> bool:
         return False
     if surplus == 0:
         return _is_additive(table, singles)
+    view = game._int_view()
+    if view is not None and _is_convex_scaled(view[1], game.n):
+        return True
     nums = [v.numerator for v in table]
     dens = [v.denominator for v in table]
-    return _is_convex(nums, dens, game.n) or _pairs_superadditive(nums, dens, game.grand_mask)
+    if view is None and _is_convex(nums, dens, game.n):
+        return True
+    return _pairs_superadditive(nums, dens, game.grand_mask)
 
 
 def _is_additive(table, singles) -> bool:
@@ -126,6 +133,24 @@ def _is_convex(nums, dens, n: int) -> bool:
                 if not s:
                     break
                 s = (s - 1) & rest
+    return True
+
+
+def _is_convex_scaled(w, n: int) -> bool:
+    """The convexity test of `_is_convex` on the integer view w = v * D.
+
+    For each i, gain[s] = w(s | i) - w(s) where s lacks i, and 0 where it
+    has i. Each pair i < j then compares gain at s | j with gain at s over
+    every s without j, slice by slice; where s has i both sides are 0.
+    """
+    for i in range(n - 1):
+        gain = [0] * len(w)
+        for lacking, having in bit_slices(n, i):
+            gain[lacking] = map(sub, w[having], w[lacking])
+        for j in range(i + 1, n):
+            for lacking, having in bit_slices(n, j):
+                if not all(map(ge, gain[having], gain[lacking])):
+                    return False
     return True
 
 

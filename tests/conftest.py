@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from tugame import CostGame, TUGame, gately_point
+from tugame import CostGame, TUGame, gately_point, tau_value
 from tugame.cli import run
 from tugame.gately import GatelyStatus
+from tugame.tau import TauStatus
 
 DATA = Path(__file__).parent / "data"
 
@@ -102,6 +103,23 @@ def assert_gately_gate(game: TUGame, flags) -> None:
             GatelyStatus.INESSENTIAL_BOUNDARY,
             GatelyStatus.NOT_ESSENTIAL,
         )
+
+
+def assert_tau_agrees(game: TUGame, report) -> None:
+    """`tau_value` agrees with the definitions' report: a point exactly
+    when the game is quasibalanced; alpha * m + (1 - alpha) * M over the
+    report's m and M, efficient and with alpha in [0, 1]; or M = m at
+    degenerate endpoints."""
+    tau = tau_value(game)
+    lower, upper = report.minimal_rights, report.utopia
+    assert (tau.status is not TauStatus.NOT_QUASIBALANCED) == report.classification.quasibalanced
+    if tau.status is TauStatus.UNIQUE:
+        alpha = tau.alpha
+        assert 0 <= alpha <= 1
+        assert tau.point == tuple(alpha * m + (1 - alpha) * big for m, big in zip(lower, upper))
+        assert sum(tau.point) == game.grand_value
+    elif tau.status is TauStatus.DEGENERATE_ENDPOINTS:
+        assert tau.point == upper == lower
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:

@@ -30,8 +30,10 @@ def test_remainder_singleton_is_own_worth(ex1, ex2):
 def test_remainder_requires_membership(ex2):
     with pytest.raises(PlayerNotInCoalitionError):
         remainder(ex2, (2, 3), 1)
-    with pytest.raises(PlayerNotInCoalitionError):
-        remainder(ex2, (1, 2), 0)
+    # neither a bool nor a float is a player, even where its value is one
+    for player in (0, True, 1.0):
+        with pytest.raises(PlayerNotInCoalitionError):
+            remainder(ex2, (1, 2), player)
 
 
 def test_minimal_rights_examples(ex2, symmetric_unit, degenerate_pairs):

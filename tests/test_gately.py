@@ -51,8 +51,9 @@ def test_propensity_converts_entries_exactly_and_refuses_bool_players():
     assert propensity_to_disrupt(game, ("1/4", Fraction(3, 4)), 1) == 3
     with pytest.raises(TypeError, match="refusing float"):
         propensity_to_disrupt(game, [0.25, 0.75], 1)
-    with pytest.raises(GameError, match="player True"):
-        propensity_to_disrupt(game, (Fraction(1, 4), Fraction(3, 4)), True)
+    for player in (True, 1.0):
+        with pytest.raises(GameError, match=f"player {player}"):
+            propensity_to_disrupt(game, (Fraction(1, 4), Fraction(3, 4)), player)
 
 
 def test_equal_propensity_examples(ex1, ex2, symmetric_unit):

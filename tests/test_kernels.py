@@ -1,12 +1,15 @@
-"""Differential tests of the exact bitmask kernels at n = 2..8, and budgets at n = 16.
+"""Differential tests of the exact bitmask kernels at n = 2..11, and budgets at n = 16.
 
 `is_superadditive`, `is_weakly_superadditive` and `minimal_rights` compare
-rationals by cross-multiplying numerators and denominators. Each is
-checked here against `recompute_by_definition`, which walks the defining
-formulas over `Fraction` with unrelated loops, on three kinds of input:
-worths with large (mostly coprime) denominators, knife-edge games whose
-inequalities hold with equality across different denominators, and games
-with ties in the minimal-rights maximum.
+rationals as ints over the table's common denominator D when D <= 2**64
+(the game's integer view), and otherwise by cross-multiplying numerators
+and denominators. Each is checked here, with `tau_value`, against
+`recompute_by_definition`, which walks the defining formulas over
+`Fraction` with unrelated loops, on three kinds of input: worths with
+large (mostly coprime) denominators, knife-edge games whose inequalities
+hold with equality across different denominators, and games with ties in
+the minimal-rights maximum. Every game's integer view is checked against
+its definition.
 
 `is_superadditive` settles most games without its O(3**n) pair scan: by
 the sign of the surplus, by additivity at zero surplus, and by convexity
@@ -18,6 +21,7 @@ every boundary; the n = 16 budget tests check that the shortcuts pay.
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -41,10 +45,11 @@ from tugame.gately import GatelyStatus
 from tugame.oracle import recompute_by_definition
 from tugame.tau import TauStatus
 
-from conftest import assert_gately_gate
+from conftest import assert_gately_gate, assert_tau_agrees
 
 SIZES = (5, 6, 7, 8)
 BIG = 10**6
+TWO64 = 1 << 64
 
 
 def _big_fraction(rng: random.Random, lo: int = -1, hi: int = 1) -> Fraction:
@@ -89,7 +94,15 @@ def _superadditive(rng, n):
     return _game(n, table.__getitem__)
 
 
+def _assert_view(game):
+    """The integer view is (D, v * D) for D the lcm of every denominator,
+    or None when D exceeds 2**64."""
+    d = lcm(*(v.denominator for v in game.table))
+    assert game._int_view() == (None if d > TWO64 else (d, [v * d for v in game.table]))
+
+
 def _assert_kernels_agree(game):
+    _assert_view(game)
     ref = recompute_by_definition(game)
     flags = ref.classification
     assert is_superadditive(game) == flags.superadditive
@@ -97,6 +110,7 @@ def _assert_kernels_agree(game):
     assert minimal_rights(game) == ref.minimal_rights
     assert classify(game) == flags
     assert_gately_gate(game, flags)
+    assert_tau_agrees(game, ref)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -202,25 +216,40 @@ def test_ties_in_the_minimal_rights_maximum(n):
 
 
 SHORTCUT_SIZES = range(2, 9)
-RESOLUTIONS = ("small", "coprime")
+# "2**64" and "3*2**64" draw the same worths over 2**64, the largest
+# common denominator the integer view takes; "3*2**64" then moves the
+# first weight by 1/(3 * 2**64), which takes the table just past it.
+RESOLUTIONS = ("small", "coprime", "2**64", "3*2**64")
 
 
 def _weights(rng, n, resolution):
     if resolution == "small":
         return [Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 6))) for _ in range(n)]
-    return [_big_fraction(rng) for _ in range(n)]
+    if resolution == "coprime":
+        return [_big_fraction(rng) for _ in range(n)]
+    weights = [Fraction(rng.randint(-12 * TWO64, 12 * TWO64), TWO64) for _ in range(n)]
+    if resolution == "3*2**64":
+        weights[0] += Fraction(1, 3 * TWO64)
+    return weights
 
 
 def _step(rng, resolution):
     """The smallest move of one worth: 1/12 on the grid of the small
-    denominators, else 1/q for a fresh q up to 10**6."""
-    return Fraction(1, 12) if resolution == "small" else Fraction(1, rng.randint(2, BIG))
+    denominators, 1/2**64 on the grids over 2**64, else 1/q for a fresh q
+    up to 10**6."""
+    if resolution == "small":
+        return Fraction(1, 12)
+    if resolution == "coprime":
+        return Fraction(1, rng.randint(2, BIG))
+    return Fraction(1, TWO64)
 
 
 def _curvature(rng, resolution):
     if resolution == "small":
         return Fraction(rng.randint(1, 6), rng.choice((1, 2, 3, 4, 6)))
-    return _big_fraction(rng, 1, 2)
+    if resolution == "coprime":
+        return _big_fraction(rng, 1, 2)
+    return Fraction(rng.randint(TWO64, 2 * TWO64), TWO64)
 
 
 def _convex_table(n, weights, curvature):
@@ -292,6 +321,10 @@ def test_convex_games_are_decided_without_the_scan(n, resolution, full_scans):
     table = _convex_table(n, weights, curvature)
     assert _convex_by_definition(table, n)
     _assert_decided(table, True, False, full_scans)
+    if resolution in ("2**64", "3*2**64"):
+        # the two sides of the integer view's limit
+        view = _game(n, table.__getitem__)._int_view()
+        assert (view is None) if resolution == "3*2**64" else view[0] == TWO64
     if n >= 3:
         # convex with the top check tight, then one step past it: still
         # superadditive, but only the full scan can say so
@@ -366,6 +399,51 @@ def test_zero_and_negative_surplus_without_additivity(n, resolution, full_scans)
             table = base[:-1] + [grand]
             assert table != additive_table(singles)
             _assert_decided(table, False, False, full_scans)
+
+
+def _tie_heavy_table(n):
+    """v(S) = |S| / 3 + w(|S & {1, 2, 3}|) with w = 0, 0, 1, 3/2: superadditive
+    but not convex, and almost every pair holds with equality."""
+    extra = (0, 0, 1, Fraction(3, 2))
+    return [Fraction(mask.bit_count(), 3) + extra[(mask & 0b111).bit_count()] for mask in range(1 << n)]
+
+
+@pytest.mark.parametrize("family", ["convex", "not convex", "tie-heavy", "near misses", "coprime"])
+@pytest.mark.parametrize("n", (9, 10, 11))
+def test_nine_to_eleven_players_match_the_definitions(n, family):
+    """At n = 9..11 the integer view's strided and block slices each cover
+    several bits. Small denominators take the view, the coprime family
+    (the not-convex one over denominators up to 10**6) the fallback.
+    `superadditive` lists the expected flag of each table."""
+    rng = random.Random(1700 + n)
+    resolution = "coprime" if family == "coprime" else "small"
+    weights, curvature = _weights(rng, n, resolution), _curvature(rng, resolution)
+    step = _step(rng, resolution)
+    edge = 2 * curvature * (n - 1)
+    if family == "convex":
+        tables, superadditive = [_convex_table(n, weights, curvature)], [True]
+    elif family == "tie-heavy":
+        tables, superadditive = [_tie_heavy_table(n)], [True]
+    elif family == "near misses":
+        # one worth one step (1/6 on the grid of thirds and halves) off a
+        # tie: {4, 5} is additive, so either move breaks a pair
+        tables = []
+        for move in (Fraction(1, 6), Fraction(-1, 6)):
+            table = _tie_heavy_table(n)
+            table[0b11000] += move
+            tables.append(table)
+        table = _convex_table(n, weights, curvature)
+        table[0b11] = table[0b01] + table[0b10] - step
+        tables.append(table)
+        superadditive = [False, False, False]
+    else:
+        tables = [_raised_below_grand(n, weights, curvature, edge + move) for move in (-step, step)]
+        superadditive = [True, False]
+    games = [_game(n, table.__getitem__) for table in tables]
+    assert [game._int_view() is None for game in games] == [family == "coprime"] * len(games)
+    assert [is_superadditive(game) for game in games] == superadditive
+    for game in games:
+        _assert_kernels_agree(game)
 
 
 def test_classify_scans_superadditivity_once(monkeypatch, additive3):

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from tugame import (
     CostGame,
     GatelyStatus,
-    TauStatus,
     TUGame,
     aca_allocation,
     classify,
@@ -36,12 +35,11 @@ from tugame import (
     propensity_to_disrupt,
     recompute_by_definition,
     savings_game,
-    tau_value,
     utopia_payoffs,
 )
 from tugame.game import additive_table
 
-from conftest import assert_gately_gate
+from conftest import assert_gately_gate, assert_tau_agrees
 
 BIG = 10**6
 denominators = st.one_of(st.sampled_from((1, 2, 3, 4, 6)), st.integers(1, BIG))
@@ -111,15 +109,7 @@ def test_bounds_flags_and_solvers_match_the_definitions(game):
             if x > v:
                 assert propensity_to_disrupt(game, gately.point, player) == gately.d_star
 
-    tau = tau_value(game)
-    assert (tau.status is not TauStatus.NOT_QUASIBALANCED) == flags.quasibalanced
-    if tau.status is TauStatus.UNIQUE:
-        alpha = tau.alpha
-        assert 0 <= alpha <= 1
-        assert tau.point == tuple(alpha * m + (1 - alpha) * big for m, big in zip(lower, upper))
-        assert sum(tau.point) == game.grand_value
-    elif tau.status is TauStatus.DEGENERATE_ENDPOINTS:
-        assert tau.point == upper == lower
+    assert_tau_agrees(game, report)
 
     # c_i - y_i of the ACA allocation y is the Gately point of the savings
     # game wherever that point exists
