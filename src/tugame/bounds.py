@@ -73,7 +73,11 @@ def minimal_rights(game: TUGame) -> tuple[Fraction, ...]:
     the n utopia payoffs (never of the whole table), and r(S) is kept as
     the int pair (p_S * d - q_S * d * sum M_S, q_S), whose quotient is
     r(S) * d. Pairs are compared by cross-multiplying, so no gcd is taken
-    until the n results are built.
+    until the n results are built, and the maxima are found by folding
+    the list from the top player down: player i's masks are its upper
+    half, and the pairwise best of its two halves leaves, for each mask of
+    the lower players, its best extension by i and above. That is about
+    2**(n + 1) comparisons in all, not n * 2**(n - 1).
     """
     n = game.n
     payoffs = utopia_payoffs(game)
@@ -91,24 +95,18 @@ def minimal_rights(game: TUGame) -> tuple[Fraction, ...]:
     d = lcm(*(m.denominator for m in payoffs))
     scaled = [m.numerator * (d // m.denominator) for m in payoffs]
 
-    size = 1 << n
-    dens = [v.denominator for v in table]
-    rest = [
-        v.numerator * d - total * den
-        for v, total, den in zip(table, additive_table(scaled), dens)
+    pairs = [
+        (v.numerator * d - total * v.denominator, v.denominator)
+        for v, total in zip(table, additive_table(scaled))
     ]
-
     rights = []
-    for i in range(n):
-        bit = 1 << i
-        best, best_den = rest[bit], dens[bit]
-        comp = (size - 1) ^ bit
-        s = comp
-        while s:
-            mask = s | bit
-            den = dens[mask]
-            if rest[mask] * best_den > best * den:
-                best, best_den = rest[mask], den
-            s = (s - 1) & comp
+    for i in reversed(range(n)):
+        low = 1 << i
+        best, best_den = pairs[low]
+        for r, q in pairs[low + 1 :]:
+            if r * best_den > best * q:
+                best, best_den = r, q
         rights.append(payoffs[i] + Fraction(best, best_den * d))
-    return tuple(rights)
+        halves = zip(pairs[:low], pairs[low:])
+        pairs = [b if b[0] * a[1] > a[0] * b[1] else a for a, b in halves]
+    return tuple(reversed(rights))

@@ -23,8 +23,11 @@ none of three exact shortcuts settles the answer first:
 The tests compare exact rationals without building a `Fraction` per
 comparison. When the common denominator D of the whole table is at most
 2**64, the game's integer view w(S) = v(S) * D turns every worth into an
-int of a few machine words, and the convexity test compares those ints
-with C-level maps over slices of the table. Otherwise (for worths with
+int of a few machine words. The additivity test is then one list
+comparison of w with the subset sums of its singleton entries, and the
+convexity test stores each player's 2**(n - 1) marginal gains compressed,
+indexed by the mask with that player's bit removed, and compares them
+with C-level maps over slices. Otherwise (for worths with
 large coprime denominators D runs to hundreds of thousands of bits) the
 tests read the numerators p and denominators q of the worth table once,
 and the pair scans test v(U) >= v(S) + v(T) for U = S | T as
@@ -87,9 +90,12 @@ def is_superadditive(game: TUGame) -> bool:
     surplus = game.grand_value - sum(singles)
     if surplus < 0:
         return False
-    if surplus == 0:
-        return _is_additive(table, singles)
     view = game._int_view()
+    if surplus == 0:
+        if view is None:
+            return _is_additive(table, singles)
+        w = view[1]
+        return w == additive_table([w[1 << i] for i in range(game.n)])
     if view is not None and _is_convex_scaled(view[1], game.n):
         return True
     nums = [v.numerator for v in table]
@@ -139,16 +145,24 @@ def _is_convex(nums, dens, n: int) -> bool:
 def _is_convex_scaled(w, n: int) -> bool:
     """The convexity test of `_is_convex` on the integer view w = v * D.
 
-    For each i, gain[s] = w(s | i) - w(s) where s lacks i, and 0 where it
-    has i. Each pair i < j then compares gain at s | j with gain at s over
-    every s without j, slice by slice; where s has i both sides are 0.
+    For each i, gain[c] = w(s | i) - w(s) over the 2**(n - 1) masks s
+    without i, in increasing order: c is s with bit i removed, so the bits
+    j >= i of c stand for the players above i. For each such j, gain at
+    c | 2**j must not fall below gain at c, checked slice by slice over
+    every c without bit j.
     """
+    half = len(w) >> 1
     for i in range(n - 1):
-        gain = [0] * len(w)
+        low = 1 << i
+        gain = [0] * half
         for lacking, having in bit_slices(n, i):
-            gain[lacking] = map(sub, w[having], w[lacking])
-        for j in range(i + 1, n):
-            for lacking, having in bit_slices(n, j):
+            c = lacking.start
+            # strided: s = c + k * 2**(i + 1) lands at c + k * 2**i; a block
+            # of masks from c lands at c / 2
+            dest = slice(c, half, low) if lacking.step else slice(c >> 1, (c >> 1) + low)
+            gain[dest] = map(sub, w[having], w[lacking])
+        for j in range(i, n - 1):
+            for lacking, having in bit_slices(n - 1, j):
                 if not all(map(ge, gain[having], gain[lacking])):
                     return False
     return True

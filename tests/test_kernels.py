@@ -190,29 +190,41 @@ def test_exactly_one_tight_pair(n):
     _assert_kernels_agree(broken)
 
 
-@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("n", range(2, 10))
 def test_ties_in_the_minimal_rights_maximum(n):
-    """Several coalitions share player i's best remainder, each reached
-    with a different denominator."""
+    """Several coalitions share each player's best remainder
+    r(S) = v(S) - sum of M_j over S, each reached with a different
+    denominator, and D > 2**64. The table is built from M (denominators
+    up to 10**6) and r, with r(N minus j) = r(N) as M_j = v(N) - v(N minus j)
+    requires. For every pair i < k the best is tied at a mask S with i but
+    not k and at S | k: on both sides of each half boundary that the
+    minimal-rights fold crosses before it reaches player i."""
     rng = random.Random(1100 + n)
     full = (1 << n) - 1
-    for player in range(n):
-        table = [Fraction(0)] + [_big_fraction(rng) for _ in range(full)]
-        upper = utopia_payoffs(_game(n, table.__getitem__))
-        bit = 1 << player
-
-        def rest(mask):
-            return table[mask] - sum(upper[i] for i in _members(mask, n))
-
-        best = max(rest(mask) for mask in range(1, full + 1) if mask & bit)
-        # coalitions missing two or more players leave the utopia payoffs as they are
-        free = [m for m in range(1, full) if m & bit and bin(full ^ m).count("1") >= 2]
-        for mask in rng.sample(free, 3):
-            table[mask] = best + sum(upper[i] for i in _members(mask, n))
-        game = _game(n, table.__getitem__)
-        assert sum(rest(m) == best for m in range(1, full + 1) if m & bit) >= 3
-        assert minimal_rights(game)[player] == upper[player] + best
-        _assert_kernels_agree(game)
+    upper = [_big_fraction(rng, -n, n) for _ in range(n)]
+    best = Fraction(2 * rng.randint(-TWO64, TWO64) + 1, 3 * TWO64)
+    rest = [best - Fraction(rng.randint(1, BIG), rng.randint(2, BIG)) for _ in range(full + 1)]
+    if n <= 3:
+        # below four players some S | k below has n - 1 or n players,
+        # whose remainder is r(N)
+        rest[full] = best
+    for j in range(n):
+        rest[full ^ 1 << j] = rest[full]
+    for i in range(n):
+        for k in range(i + 1, n):
+            free = [m for m in range(full) if m >> i & 1 and not m >> k & 1]
+            mask = rng.choice([m for m in free if m.bit_count() <= n - 3] or free)
+            rest[mask] = rest[mask | 1 << k] = best
+    table = [r + sum(upper[j] for j in _members(m, n)) for m, r in enumerate(rest)]
+    table[0] = Fraction(0)
+    game = _game(n, table.__getitem__)
+    assert game._int_view() is None
+    assert utopia_payoffs(game) == tuple(upper)
+    for i in range(n):
+        tied = [m for m in range(full + 1) if m >> i & 1 and rest[m] == best]
+        assert len({table[m].denominator for m in tied}) >= 2
+    assert minimal_rights(game) == tuple(m + best for m in upper)
+    _assert_kernels_agree(game)
 
 
 SHORTCUT_SIZES = range(2, 9)
@@ -401,6 +413,37 @@ def test_zero_and_negative_surplus_without_additivity(n, resolution, full_scans)
             _assert_decided(table, False, False, full_scans)
 
 
+@pytest.mark.parametrize("resolution", ("small", "3*2**64"))
+@pytest.mark.parametrize("n", range(2, 8))
+def test_every_worth_moved_by_one_step(n, resolution, full_scans):
+    """Two integer convex tables: an additive one (every convexity check
+    tight, surplus 0) and one plus |S|**2 // 4 (checks tight or one
+    above, surplus > 0). Each worth in turn is moved down and up by one,
+    and the table taken over 12, or over 2**64 plus 1/(3 * 2**64) for
+    player 1 (an additive part that takes D past 2**64).
+    `is_superadditive` and `classify` match the definitions, and the pair
+    scan runs exactly when the surplus is positive and the moved table is
+    not convex."""
+    rng = random.Random(1800 + n)
+    step = Fraction(1, 12 if resolution == "small" else TWO64)
+    shift = 0 if resolution == "small" else Fraction(1, 3 * TWO64)
+    additive = additive_table([rng.randint(-12, 12) for _ in range(n)])
+    curved = [w + mask.bit_count() ** 2 // 4 for mask, w in enumerate(additive)]
+    for base in (additive, curved):
+        for mask in range(1, 1 << n):
+            for move in (-1, 1):
+                ints = base.copy()
+                ints[mask] += move
+                table = [w * step + shift * (m & 1) for m, w in enumerate(ints)]
+                game = _game(n, table.__getitem__)
+                assert (game._int_view() is None) == (resolution == "3*2**64")
+                flags = recompute_by_definition(game).classification
+                full_scans.clear()
+                assert is_superadditive(game) == flags.superadditive
+                assert bool(full_scans) == (flags.essential and not _convex_by_definition(ints, n))
+                assert classify(game) == flags
+
+
 def _tie_heavy_table(n):
     """v(S) = |S| / 3 + w(|S & {1, 2, 3}|) with w = 0, 0, 1, 3/2: superadditive
     but not convex, and almost every pair holds with equality."""
@@ -529,12 +572,14 @@ def _primes_below(limit: int, count: int) -> list:
     return primes
 
 
-@pytest.mark.parametrize("family", ["additive", "convex"])
+@pytest.mark.parametrize("family", ["additive", "convex", "convex over 2**64"])
 def test_superadditive_sixteen_player_games_within_budget(family):
-    """classify and gately_point each take < 2 s at n = 16 on the two
+    """classify and gately_point each take < 2 s at n = 16 on the
     superadditive families a full pair scan would walk in full: an
     additive game over 16 distinct primes below 10**6 (zero surplus, so
-    superadditive means additive) and v(S) = |S|**2 / 3 (convex)."""
+    superadditive means additive), v(S) = |S|**2 / 3 (convex), and
+    v(S) = c * |S|**2 + sum of a_i over S with c and a_i over 2**64 (convex,
+    and the integer view holds ints of two machine words)."""
     n = 16
     if family == "additive":
         rng = random.Random(1616)
@@ -542,10 +587,19 @@ def test_superadditive_sixteen_player_games_within_budget(family):
         game = _game(n, additive_table(singles).__getitem__)
         flags = (False, True, True, True, True, True)
         expected = (GatelyStatus.INESSENTIAL_BOUNDARY, tuple(singles))
-    else:
+    elif family == "convex":
         game = _game(n, lambda mask: Fraction(mask.bit_count() ** 2, 3))
         flags = (True, False, True, True, False, True)
         expected = (GatelyStatus.UNIQUE_IMPUTATION, (Fraction(n, 3),) * n)
+    else:
+        rng = random.Random(1617)
+        weights = _weights(rng, n, "2**64")
+        curvature = _curvature(rng, "2**64")
+        game = _game(n, _convex_table(n, weights, curvature).__getitem__)
+        assert game._int_view()[0] == TWO64
+        flags = (True, False, True, True, False, True)
+        # the Gately point moves with an additive part
+        expected = (GatelyStatus.UNIQUE_IMPUTATION, tuple(a + curvature * n for a in weights))
 
     started = time.perf_counter()
     classification = classify(game)
