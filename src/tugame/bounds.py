@@ -60,6 +60,9 @@ def minimal_rights(game: TUGame) -> tuple[Fraction, ...]:
 
     The singleton coalition witnesses m_i >= v_i for every player.
 
+    The game stores the vector on first use, as it does its integer view,
+    so `classify`, `tau_value` and direct calls compute it once per game.
+
     Computed as m_i = M_i + max over S containing i of r(S), where
     r(S) = v(S) - sum of M_j over S is the same for every member, so it is
     formed once per coalition.
@@ -79,6 +82,9 @@ def minimal_rights(game: TUGame) -> tuple[Fraction, ...]:
     the lower players, its best extension by i and above. That is about
     2**(n + 1) comparisons in all, not n * 2**(n - 1).
     """
+    rights = getattr(game, "_rights", None)
+    if rights is not None:
+        return rights
     n = game.n
     payoffs = utopia_payoffs(game)
     view = game._int_view()
@@ -86,27 +92,28 @@ def minimal_rights(game: TUGame) -> tuple[Fraction, ...]:
         d, w = view
         upper = [m.numerator * (d // m.denominator) for m in payoffs]
         rest = list(map(sub, w, additive_table(upper)))
-        return tuple(
+        rights = tuple(
             Fraction(upper[i] + max(max(rest[having]) for _, having in bit_slices(n, i)), d)
             for i in range(n)
         )
-
-    table = game.table
-    d = lcm(*(m.denominator for m in payoffs))
-    scaled = [m.numerator * (d // m.denominator) for m in payoffs]
-
-    pairs = [
-        (v.numerator * d - total * v.denominator, v.denominator)
-        for v, total in zip(table, additive_table(scaled))
-    ]
-    rights = []
-    for i in reversed(range(n)):
-        low = 1 << i
-        best, best_den = pairs[low]
-        for r, q in pairs[low + 1 :]:
-            if r * best_den > best * q:
-                best, best_den = r, q
-        rights.append(payoffs[i] + Fraction(best, best_den * d))
-        halves = zip(pairs[:low], pairs[low:])
-        pairs = [b if b[0] * a[1] > a[0] * b[1] else a for a, b in halves]
-    return tuple(reversed(rights))
+    else:
+        table = game.table
+        d = lcm(*(m.denominator for m in payoffs))
+        scaled = [m.numerator * (d // m.denominator) for m in payoffs]
+        pairs = [
+            (v.numerator * d - total * v.denominator, v.denominator)
+            for v, total in zip(table, additive_table(scaled))
+        ]
+        found = []
+        for i in reversed(range(n)):
+            low = 1 << i
+            best, best_den = pairs[low]
+            for r, q in pairs[low + 1 :]:
+                if r * best_den > best * q:
+                    best, best_den = r, q
+            found.append(payoffs[i] + Fraction(best, best_den * d))
+            halves = zip(pairs[:low], pairs[low:])
+            pairs = [b if b[0] * a[1] > a[0] * b[1] else a for a, b in halves]
+        rights = tuple(reversed(found))
+    game._rights = rights
+    return rights

@@ -5,10 +5,12 @@ are handled as bitmasks: bit i-1 set means player i is a member, so masks
 run from 1 to 2**n - 1 and the grand coalition is the all-ones mask. The
 empty coalition is representable and always worth 0. Both ways in, the
 game constructor and `gamefile.parse_game`, fill and validate the table
-through one builder, `build_table`.
+through one builder, `build_table`, which places every entry in C-level
+passes when all keys are int masks or all are canonical key strings.
 
-A game builds its integer view (`_int_view`) on first use; the kernels
-in `properties` and `bounds` scan it over the slices of `bit_slices`.
+A game stores, each built on first use, its integer view (`_int_view`),
+which the kernels in `properties` and `bounds` scan over the slices of
+`bit_slices`, and its minimal rights (`bounds.minimal_rights`).
 
 All worths are `fractions.Fraction` values. Binary floats are refused on
 input: the degeneracy checks downstream hinge on knife-edge equalities that
@@ -58,7 +60,8 @@ def to_fraction(value) -> Fraction:
     float). A Decimal whose exact value could need more digits than
     `sys.get_int_max_str_digits()` is a BadNumberError.
     """
-    if isinstance(value, Fraction):
+    # the exact type test first: isinstance against Fraction is an ABC check
+    if type(value) is Fraction or isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise BadNumberError(value)
@@ -111,10 +114,9 @@ def exact_text(value: Fraction) -> str:
 
 def as_mask(coalition, n: int) -> int:
     """Normalize a coalition given as a mask, an index iterable, or a key
-    string like "1,3" into a validated bitmask for an n-player game."""
-    if isinstance(coalition, bool):
-        raise PlayerOutOfRangeError(f"invalid coalition {coalition!r}")
-    if isinstance(coalition, int):
+    string like "1,3" into a validated bitmask for an n-player game. A bool,
+    or a key that is none of these (a float, say), is an invalid coalition."""
+    if isinstance(coalition, int) and not isinstance(coalition, bool):
         if coalition < 0 or coalition >= (1 << n):
             raise PlayerOutOfRangeError(
                 f"mask {coalition} names players outside 1..{n}"
@@ -122,8 +124,12 @@ def as_mask(coalition, n: int) -> int:
         return coalition
     if isinstance(coalition, str):
         return mask_from_key(coalition, n)
+    try:
+        players = iter(coalition)
+    except TypeError:
+        raise PlayerOutOfRangeError(f"invalid coalition {coalition!r}") from None
     mask = 0
-    for player in coalition:
+    for player in players:
         if not isinstance(player, int) or isinstance(player, bool):
             raise PlayerOutOfRangeError(f"invalid player index {player!r}")
         if player < 1 or player > n:
@@ -229,17 +235,44 @@ def check_player_count(n) -> None:
         )
 
 
+def _bulk_masks(n: int, values: Mapping) -> list | None:
+    """The masks of `values`' keys in entry order, when they number 2**n - 1
+    and all are int masks in 1..2**n - 1 (exactly int: 1.0 and True hash
+    like 1) or all are canonical nonempty key strings; None otherwise."""
+    size = 1 << n
+    if len(values) != size - 1:
+        return None
+    keys = list(values.keys())
+    kinds = set(map(type, keys))
+    if kinds == {int}:
+        return keys if min(keys) >= 1 and max(keys) < size else None
+    if kinds == {str}:
+        index = dict(zip(coalition_keys(n)[1:], range(1, size)))
+        masks = list(map(index.get, keys))
+        return masks if None not in masks else None
+    return None
+
+
 def build_table(n: int, values: Mapping, convert) -> tuple[Fraction, ...]:
     """The mask-indexed worth table of an n-player game, validated.
 
-    The one builder behind the game constructor and `parse_game`. A string
-    key is looked up among the canonical keys; any other key, or a string
+    The one builder behind the game constructor and `parse_game`. When
+    `_bulk_masks` places every key, the keys, being distinct, cover every
+    nonempty coalition once and none is at fault; the worths go through one
+    `map(convert, ...)` in entry order, so the first one refused is the
+    first fault. Otherwise the entries are walked
+    one at a time, key then worth, to name the first fault: a string key
+    is looked up among the canonical keys, and any other key, or a string
     that misses them, goes through `as_mask`, which says what is wrong with
-    it. Each worth goes through `convert`. Entries are checked in order, key
-    then worth: the empty coalition may appear only with worth 0, and no
-    coalition twice. Every nonempty coalition must appear.
+    it. The empty coalition may appear only with worth 0, and no coalition
+    twice. Every nonempty coalition must appear.
     """
     check_player_count(n)
+    masks = _bulk_masks(n, values)
+    if masks is not None:
+        table = [ZERO] * (1 << n)
+        list(map(table.__setitem__, masks, map(convert, values.values())))
+        return tuple(table)
     keys = coalition_keys(n)
     index = dict(zip(keys, range(len(keys))))
     table: list[Fraction | None] = [None] * len(keys)
@@ -269,9 +302,10 @@ class _CharacteristicGame:
 
     kind = ""
 
-    # `_ints` holds the integer view once `_int_view` has built it; it is
-    # derived from `_table`, so equality, hashing and repr ignore it.
-    __slots__ = ("_n", "_table", "_ints")
+    # `_ints` holds the integer view once `_int_view` has built it, and
+    # `_rights` the minimal rights once `bounds.minimal_rights` has; both
+    # are derived from `_table`, so equality, hashing and repr ignore them.
+    __slots__ = ("_n", "_table", "_ints", "_rights")
 
     def __init__(self, n: int, values: Mapping):
         self._table = build_table(n, values, to_fraction)

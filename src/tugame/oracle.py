@@ -17,9 +17,13 @@ reads; the grid search takes it over the step and the utopia margins.
 The grid search is an exact branch-and-bound. The worst propensity at a
 point is a max over the players, so it only grows as players are added:
 once the players fixed so far reach the best max found, no completion
-can beat it, and the rest of that row is skipped. A point that merely
-ties the best is skipped too, which keeps ties at the lexicographically
-smallest point; the result is that of the exhaustive scan.
+can beat it, and the rest of that row is skipped. In the innermost loop
+a point is skipped once the next-to-last player's ratio reaches the best,
+and the row ends once the last player's does, if that player's margin
+alpha = M_i - v_i is >= 0: its ratio alpha / k - eta then rises as its
+offset k falls along the row. A point that merely ties the best is
+skipped too, which keeps ties at the lexicographically smallest point;
+the result is that of the exhaustive scan.
 
 This stays independent of the kernels it checks: it shares no code or
 loop structure with `bounds` and `properties`, walks frozenset-keyed
@@ -100,10 +104,11 @@ def grid_minmax_propensity(game: TUGame, resolution: int) -> GridSearchReport:
     alphas = [int(a * scale) for a in margins]
     etak = [k * eta for k in range(resolution + 1)]
 
-    # best_num / best_k is the least worst-case propensity found so far;
-    # a row is skipped once a partial max mn / mk reaches it, that is once
+    # best_num / best_k is the least worst-case propensity found so far,
+    # 1 / 0 (above every ratio) before the first point; a row or point is
+    # skipped once a partial max mn / mk reaches it, that is once
     # mn * best_k >= best_num * mk.
-    best_num = best_k = best_offsets = None
+    best_num, best_k, best_offsets = 1, 0, None
 
     if n == 2:
         a1, a2 = alphas
@@ -115,31 +120,37 @@ def grid_minmax_propensity(game: TUGame, resolution: int) -> GridSearchReport:
                 mn, mk = n1, k1
             else:
                 mn, mk = n2, k2
-            if best_num is None or mn * best_k < best_num * mk:
+            if mn * best_k < best_num * mk:
                 best_num, best_k, best_offsets = mn, mk, (k1, k2)
     elif n == 3:
         a1, a2, a3 = alphas
         for k1 in range(1, resolution - 1):
             n1 = a1 - etak[k1]
-            if best_num is not None and n1 * best_k >= best_num * k1:
+            if n1 * best_k >= best_num * k1:
                 continue
             for k2 in range(1, resolution - k1):
-                k3 = resolution - k1 - k2
                 n2 = a2 - etak[k2]
+                if n2 * best_k >= best_num * k2:
+                    continue
+                k3 = resolution - k1 - k2
                 n3 = a3 - etak[k3]
+                if n3 * best_k >= best_num * k3:
+                    if a3 >= 0:
+                        break
+                    continue
                 if n1 * k2 >= n2 * k1:
                     mn, mk = n1, k1
                 else:
                     mn, mk = n2, k2
                 if n3 * mk > mn * k3:
                     mn, mk = n3, k3
-                if best_num is None or mn * best_k < best_num * mk:
+                if mn * best_k < best_num * mk:
                     best_num, best_k, best_offsets = mn, mk, (k1, k2, k3)
     else:
         a1, a2, a3, a4 = alphas
         for k1 in range(1, resolution - 2):
             n1 = a1 - etak[k1]
-            if best_num is not None and n1 * best_k >= best_num * k1:
+            if n1 * best_k >= best_num * k1:
                 continue
             for k2 in range(1, resolution - k1 - 1):
                 n2 = a2 - etak[k2]
@@ -147,18 +158,24 @@ def grid_minmax_propensity(game: TUGame, resolution: int) -> GridSearchReport:
                     mn12, mk12 = n1, k1
                 else:
                     mn12, mk12 = n2, k2
-                if best_num is not None and mn12 * best_k >= best_num * mk12:
+                if mn12 * best_k >= best_num * mk12:
                     continue
                 for k3 in range(1, resolution - k1 - k2):
-                    k4 = resolution - k1 - k2 - k3
                     n3 = a3 - etak[k3]
+                    if n3 * best_k >= best_num * k3:
+                        continue
+                    k4 = resolution - k1 - k2 - k3
                     n4 = a4 - etak[k4]
+                    if n4 * best_k >= best_num * k4:
+                        if a4 >= 0:
+                            break
+                        continue
                     mn, mk = mn12, mk12
                     if n3 * mk > mn * k3:
                         mn, mk = n3, k3
                     if n4 * mk > mn * k4:
                         mn, mk = n4, k4
-                    if best_num is None or mn * best_k < best_num * mk:
+                    if mn * best_k < best_num * mk:
                         best_num, best_k, best_offsets = mn, mk, (k1, k2, k3, k4)
 
     point = tuple(v + k * step for v, k in zip(singles, best_offsets))

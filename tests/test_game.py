@@ -169,3 +169,71 @@ def test_repr_past_digit_limit_raises_digit_limit_error():
     assert repr(TUGame(2, {1: 1, 2: 2, 3: Fraction(1, 7)})) == (
         "TUGame(n=2, {1}: 1, {2}: 2, {1,2}: 1/7)"
     )
+
+
+def _worth(mask: int) -> Fraction:
+    return Fraction(mask * mask - 7 * mask, mask.bit_count() + 2)
+
+
+def _three_players(**changes):
+    """The int-keyed 3-player table with `changes` applied in entry order:
+    key "m<mask>" sets the worth of <mask>; "drop" removes a mask; "add"
+    appends (key, worth) entries."""
+    values = {mask: _worth(mask) for mask in range(1, 8)}
+    for mask in changes.pop("drop", ()):
+        del values[mask]
+    for key, worth in changes.pop("add", ()):
+        values[key] = worth
+    for name, worth in changes.items():
+        values[int(name[1:])] = worth
+    return values
+
+
+@pytest.mark.parametrize(
+    "values,error,message",
+    [
+        # a key out of range alone, a bad worth before it, and the reverse
+        (_three_players(drop=[7], add=[(8, 1)]), PlayerOutOfRangeError, "mask 8"),
+        (_three_players(m2="x", drop=[7], add=[(8, 1)]), BadNumberError, "'x'"),
+        (_three_players(drop=[6, 7], add=[(8, 1), (6, "x")]), PlayerOutOfRangeError, "mask 8"),
+        # with every key valid, the first of two bad worths in entry order
+        (_three_players(m5="y", m3="x"), BadNumberError, "'x'"),
+        (_three_players(m3=0.5), TypeError, "refusing float 0.5"),
+        # '1' names the same coalition as 1
+        (_three_players(add=[("1", 0)]), DuplicateCoalitionError, "{1}"),
+        (_three_players(add=[(0, 1)]), ValueError, "empty coalition must be worth 0"),
+        (_three_players(drop=[1], add=[("", 1)]), ValueError, "empty coalition must be worth 0"),
+        (_three_players(drop=[1], add=[(0, 0)]), MissingCoalitionError, "{1}"),
+        (_three_players(drop=[5]), MissingCoalitionError, "{1,3}"),
+        # a missing coalition is named only once every entry has passed
+        (_three_players(m6="x", drop=[5]), BadNumberError, "'x'"),
+    ],
+)
+def test_builder_raises_the_first_fault_in_entry_order(values, error, message):
+    with pytest.raises(error) as info:
+        TUGame(3, values)
+    assert message in str(info.value)
+
+
+class _NoWalk(dict):
+    """A mapping whose entries cannot be walked one at a time."""
+
+    def items(self):
+        raise AssertionError("the builder walked the entries")
+
+
+def test_int_masks_and_canonical_strings_take_the_bulk_pass(ex1):
+    by_mask = dict(enumerate(ex1.table[1:], 1))
+    assert TUGame(3, _NoWalk(by_mask)) == ex1
+    assert TUGame(3, _NoWalk({coalition_key(m): w for m, w in by_mask.items()})) == ex1
+    with pytest.raises(AssertionError):
+        TUGame(3, _NoWalk({coalition_members(m): w for m, w in by_mask.items()}))
+
+
+@pytest.mark.parametrize("key", [True, 1.0, Fraction(1), Decimal(1), None])
+def test_a_key_that_only_equals_a_mask_is_an_invalid_coalition(key, ex1):
+    values = {key if mask == 1 else mask: w for mask, w in enumerate(ex1.table) if mask}
+    with pytest.raises(PlayerOutOfRangeError, match="invalid coalition"):
+        TUGame(3, values)
+    with pytest.raises(PlayerOutOfRangeError, match="invalid coalition"):
+        ex1.value(key)

@@ -16,6 +16,7 @@ from tugame import (
     PlayerOutOfRangeError,
     TUGame,
     as_mask,
+    coalition_key,
     coalition_members,
     generate_game,
     parse_game,
@@ -147,16 +148,24 @@ def _worths(n: int) -> dict:
 
 
 @pytest.mark.parametrize(
-    "cls,n", [(cls, n) for cls in (TUGame, CostGame) for n in (1, 2, 3, 4)] + [(TUGame, 16)]
+    "cls,n",
+    [(cls, n) for cls in (TUGame, CostGame) for n in (1, 2, 3, 4)] + [(TUGame, 13), (TUGame, 16)],
 )
 def test_constructor_and_parser_build_the_same_table(cls, n):
     worths = _worths(n)
     parsed = parse_game(json.dumps({"kind": cls.kind, "n": n, "values": worths}))
     by_mask = dict(zip(range(1, 1 << n), worths.values()))
+    # int masks and canonical strings, in any order, take the bulk pass;
+    # tuples and a mix of key forms take the per-entry walk
     for values in (
         worths,
         {coalition_members(mask): worth for mask, worth in by_mask.items()},
         by_mask,
+        dict(reversed(by_mask.items())),
+        {
+            (mask, coalition_key(mask), coalition_members(mask))[mask % 3]: worth
+            for mask, worth in by_mask.items()
+        },
     ):
         assert cls(n, values) == parsed
 
@@ -215,6 +224,13 @@ def test_single_fault_raises_the_same_error_both_ways(entries, error, message):
         # the empty coalition at its own entry, before later faults
         ([("", 1), ("x", 1)], GameError, "the empty coalition must be worth 0, got 1"),
         ([("", 1), ("1", "abc")], GameError, "the empty coalition must be worth 0, got 1"),
+        # a bad worth before a key out of range, and the reverse
+        ([("1", "abc"), ("2", 1), ("3", 1)], BadNumberError, "bad number token 'abc'"),
+        ([("3", 1), ("1", "abc"), ("2", 1)], PlayerOutOfRangeError, "player 3 outside 1..2"),
+        # every key valid: the first of two bad worths in entry order
+        ([("1", 1), ("2", "x"), ("1,2", "y")], BadNumberError, "bad number token 'x'"),
+        # a missing coalition is named only after every entry has passed
+        ([("1", "abc"), ("2", 1)], BadNumberError, "bad number token 'abc'"),
     ],
 )
 def test_multi_fault_input_reports_the_first_entry_fault(entries, error, message):

@@ -25,6 +25,7 @@ from math import lcm
 
 import pytest
 
+import tugame.bounds
 import tugame.properties
 import tugame.tau
 from tugame import (
@@ -36,8 +37,10 @@ from tugame import (
     is_superadditive,
     is_weakly_superadditive,
     minimal_rights,
+    savings_game,
     tau_value,
     utopia_payoffs,
+    zero_normalize,
 )
 from tugame.costs import AcaStatus
 from tugame.game import additive_table
@@ -511,6 +514,41 @@ def test_tau_value_computes_minimal_rights_once(monkeypatch, symmetric_unit):
     monkeypatch.setattr(tugame.properties, "minimal_rights", counted)
     assert tau_value(symmetric_unit).status is TauStatus.UNIQUE
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("view", [True, False])
+def test_minimal_rights_are_computed_once_per_game(monkeypatch, view):
+    rng = random.Random(f"stored rights:{view}")
+    if view:
+        game = _game(4, lambda mask: Fraction(rng.randint(-9, 9), 6) + 3 * (mask == 15))
+    else:
+        game = _game(5, lambda mask: _big_fraction(rng) + 8 * (mask == 31))
+    assert (game._int_view() is not None) == view
+    before = (game, hash(game), repr(game))
+    calls = []
+    kernel = tugame.bounds.additive_table
+    monkeypatch.setattr(
+        tugame.bounds, "additive_table", lambda weights: calls.append(1) or kernel(weights)
+    )
+    flags = classify(game)
+    tau_value(game)
+    rights = minimal_rights(game)
+    assert len(calls) == 1
+    assert minimal_rights(game) is rights
+    ref = recompute_by_definition(game)
+    assert rights == ref.minimal_rights and flags == ref.classification
+    assert_tau_agrees(game, ref)
+    # the stored vector is invisible to equality, hashing and repr
+    copy = _game(game.n, game.table.__getitem__)
+    assert (copy, hash(copy), repr(copy)) == before
+    assert (game, hash(game), repr(game)) == before
+    # games built from a table by the library compute their own
+    normalized = zero_normalize(game)
+    assert minimal_rights(normalized) == recompute_by_definition(normalized).minimal_rights
+    assert len(calls) == 2
+    savings = savings_game(CostGame(game.n, dict(enumerate(game.table[1:], 1))))
+    assert minimal_rights(savings) == recompute_by_definition(savings).minimal_rights
+    assert len(calls) == 3
 
 
 def test_sixteen_players_within_budget():

@@ -181,6 +181,22 @@ def _grid_cases():
     for n in (2, 3, 4):
         yield pytest.param(symmetric[n], id=f"symmetric-{n}")
         yield pytest.param(lopsided[n], id=f"lopsided-{n}")
+        # the margin alpha = v(N) - v(N minus i) - v_i of the last player,
+        # or of every player, is negative or zero: that player's ratio
+        # falls or stays along a row as its offset falls
+        full = (1 << n) - 1
+        for alpha, who in itertools.product((-1, 0) if n > 2 else (), ("last", "all")):
+            tight = (full >> 1,) if who == "last" else [full ^ 1 << i for i in range(n)]
+            game = TUGame(
+                n,
+                {
+                    mask: 2 if mask == full else 2 - alpha if mask in tight
+                    else Fraction(mask.bit_count() - 1, 2)
+                    for mask in range(1, 1 << n)
+                },
+            )
+            assert utopia_payoffs(game)[-1] - game.singleton_values()[-1] == alpha
+            yield pytest.param(game, id=f"{who}-margins-{alpha}-{n}")
         for seed in range(6):
             for game_class in ("quasibalanced", "arbitrary"):
                 game = generate_game(seed, n, game_class)
