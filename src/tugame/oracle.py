@@ -14,16 +14,18 @@ only for the values it returns, so the answers are exact and equal to a
 walk over `Fraction`s. The recomputation takes D over every worth it
 reads; the grid search takes it over the step and the utopia margins.
 
-The grid search is an exact branch-and-bound. The worst propensity at a
-point is a max over the players, so it only grows as players are added:
-once the players fixed so far reach the best max found, no completion
-can beat it, and the rest of that row is skipped. In the innermost loop
-a point is skipped once the next-to-last player's ratio reaches the best,
-and the row ends once the last player's does, if that player's margin
-alpha = M_i - v_i is >= 0: its ratio alpha / k - eta then rises as its
-offset k falls along the row. A point that merely ties the best is
-skipped too, which keeps ties at the lexicographically smallest point;
-the result is that of the exhaustive scan.
+The grid search is an exact branch-and-bound, one loop for every n. The
+worst propensity at a point is a max over the players, so it only grows
+as players are added. Each level fixes one player's offset and hands the
+max so far to the next; an offset is skipped once that max reaches the
+best max found, and a level ends once the max handed to it does. The
+last two players share one row: a point is skipped once the
+next-to-last player's ratio reaches the best, and the row ends once the
+last player's does, if that player's margin alpha = M_i - v_i is >= 0:
+its ratio alpha / k - eta then rises as its offset k falls along the
+row. Every point that is not skipped beats the best. A point that merely
+ties the best is skipped too, which keeps ties at the lexicographically
+smallest point; the result is that of the exhaustive scan.
 
 This stays independent of the kernels it checks: it shares no code or
 loop structure with `bounds` and `properties`, walks frozenset-keyed
@@ -76,9 +78,10 @@ def grid_minmax_propensity(game: TUGame, resolution: int) -> GridSearchReport:
 
     Exact throughout: grid coordinates are rationals and each propensity is
     the literal ratio of exact numerator and denominator, so the only
-    approximation anywhere is the grid spacing itself. Rows that cannot
-    beat the best point so far are skipped, which leaves the result that
-    of the full scan.
+    approximation anywhere is the grid spacing itself. One loop serves
+    every n, fixing an offset per level down to a row over the last two
+    players; what cannot beat the best point so far is skipped, which
+    leaves the result that of the full scan.
     """
     n = game.n
     if n > GRID_PLAYER_LIMIT:
@@ -105,78 +108,50 @@ def grid_minmax_propensity(game: TUGame, resolution: int) -> GridSearchReport:
     etak = [k * eta for k in range(resolution + 1)]
 
     # best_num / best_k is the least worst-case propensity found so far,
-    # 1 / 0 (above every ratio) before the first point; a row or point is
+    # 1 / 0 (above every ratio) before the first point; a level or point is
     # skipped once a partial max mn / mk reaches it, that is once
-    # mn * best_k >= best_num * mk.
+    # mn * best_k >= best_num * mk. The max of no ratios is -1 / 0; as
+    # -1 * 0 >= 1 * 0, a level tests its end only after a point is found.
     best_num, best_k, best_offsets = 1, 0, None
+    a_next, a_last = alphas[-2:]
 
-    if n == 2:
-        a1, a2 = alphas
-        for k1 in range(1, resolution):
-            k2 = resolution - k1
-            n1 = a1 - etak[k1]
-            n2 = a2 - etak[k2]
-            if n1 * k2 >= n2 * k1:
-                mn, mk = n1, k1
-            else:
-                mn, mk = n2, k2
-            if mn * best_k < best_num * mk:
-                best_num, best_k, best_offsets = mn, mk, (k1, k2)
-    elif n == 3:
-        a1, a2, a3 = alphas
-        for k1 in range(1, resolution - 1):
-            n1 = a1 - etak[k1]
-            if n1 * best_k >= best_num * k1:
+    def descend(prefix: tuple, left: int, mn: int, mk: int) -> None:
+        """Scan the splits of `left` steps over the players after the
+        offsets `prefix`; their worst ratio mn / mk stays below the best."""
+        nonlocal best_num, best_k, best_offsets
+        level = len(prefix)
+        if level < n - 2:
+            a = alphas[level]
+            for k in range(1, left - n + level + 2):
+                kn, kk = a - etak[k], k
+                if kn * mk <= mn * kk:
+                    kn, kk = mn, mk
+                if kn * best_k >= best_num * kk:
+                    continue
+                descend(prefix + (k,), left - k, kn, kk)
+                if mn * best_k >= best_num * mk:
+                    return
+            return
+        # the last two players: offset k for the next-to-last, left - k for the last
+        for k in range(1, left):
+            n1 = a_next - etak[k]
+            if n1 * best_k >= best_num * k:
                 continue
-            for k2 in range(1, resolution - k1):
-                n2 = a2 - etak[k2]
-                if n2 * best_k >= best_num * k2:
-                    continue
-                k3 = resolution - k1 - k2
-                n3 = a3 - etak[k3]
-                if n3 * best_k >= best_num * k3:
-                    if a3 >= 0:
-                        break
-                    continue
-                if n1 * k2 >= n2 * k1:
-                    mn, mk = n1, k1
-                else:
-                    mn, mk = n2, k2
-                if n3 * mk > mn * k3:
-                    mn, mk = n3, k3
-                if mn * best_k < best_num * mk:
-                    best_num, best_k, best_offsets = mn, mk, (k1, k2, k3)
-    else:
-        a1, a2, a3, a4 = alphas
-        for k1 in range(1, resolution - 2):
-            n1 = a1 - etak[k1]
-            if n1 * best_k >= best_num * k1:
+            k2 = left - k
+            n2 = a_last - etak[k2]
+            if n2 * best_k >= best_num * k2:
+                if a_last >= 0:
+                    break
                 continue
-            for k2 in range(1, resolution - k1 - 1):
-                n2 = a2 - etak[k2]
-                if n1 * k2 >= n2 * k1:
-                    mn12, mk12 = n1, k1
-                else:
-                    mn12, mk12 = n2, k2
-                if mn12 * best_k >= best_num * mk12:
-                    continue
-                for k3 in range(1, resolution - k1 - k2):
-                    n3 = a3 - etak[k3]
-                    if n3 * best_k >= best_num * k3:
-                        continue
-                    k4 = resolution - k1 - k2 - k3
-                    n4 = a4 - etak[k4]
-                    if n4 * best_k >= best_num * k4:
-                        if a4 >= 0:
-                            break
-                        continue
-                    mn, mk = mn12, mk12
-                    if n3 * mk > mn * k3:
-                        mn, mk = n3, k3
-                    if n4 * mk > mn * k4:
-                        mn, mk = n4, k4
-                    if mn * best_k < best_num * mk:
-                        best_num, best_k, best_offsets = mn, mk, (k1, k2, k3, k4)
+            best_num, best_k, best_offsets = mn, mk, prefix + (k, k2)
+            if n1 * best_k > best_num * k:
+                best_num, best_k = n1, k
+            if n2 * best_k > best_num * k2:
+                best_num, best_k = n2, k2
+            if mn * best_k >= best_num * mk:
+                return
+
+    descend((), resolution, -1, 0)
 
     point = tuple(v + k * step for v, k in zip(singles, best_offsets))
     return GridSearchReport(
@@ -330,11 +305,17 @@ def _singles_table(rng: random.Random, n: int) -> tuple[list, list[list[int]]]:
     return table, by_size
 
 
+def _fill_superadditive(rng: random.Random, table: list, by_size: list, lo: int) -> None:
+    """Give each coalition of 2 .. n - 1 players, smallest first, its best
+    split's worth plus a random synergy in [lo, 8]."""
+    for masks in by_size[2:-1]:
+        for mask in masks:
+            table[mask] = _superadditive_floor(table, mask) + _rand_fraction(rng, lo, 8)
+
+
 def _sample_superadditive(rng: random.Random, n: int) -> TUGame:
     table, by_size = _singles_table(rng, n)
-    for coalition_size in range(2, n):
-        for mask in by_size[coalition_size]:
-            table[mask] = _superadditive_floor(table, mask) + _rand_fraction(rng, 0, 8)
+    _fill_superadditive(rng, table, by_size, 0)
     full = len(table) - 1
     table[full] = _superadditive_floor(table, full) + _rand_fraction(rng, 1, 8)
     return TUGame._from_table(n, tuple(table))
@@ -342,10 +323,8 @@ def _sample_superadditive(rng: random.Random, n: int) -> TUGame:
 
 def _sample_quasibalanced(rng: random.Random, n: int) -> TUGame | None:
     table, by_size = _singles_table(rng, n)
-    for coalition_size in range(2, n):
-        for mask in by_size[coalition_size]:
-            # strictly positive synergy keeps the floor above the singleton sum
-            table[mask] = _superadditive_floor(table, mask) + _rand_fraction(rng, 1, 8)
+    # strictly positive synergy keeps the floor above the singleton sum
+    _fill_superadditive(rng, table, by_size, 1)
 
     full = len(table) - 1
     singles_sum = sum(table[mask] for mask in by_size[1])
