@@ -24,8 +24,9 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from math import lcm
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     BadCoalitionKeyError,
@@ -235,19 +236,23 @@ def check_player_count(n) -> None:
         )
 
 
-def _bulk_masks(n: int, values: Mapping) -> list | None:
+def _bulk_masks(n: int, values: Mapping) -> Sequence | None:
     """The masks of `values`' keys in entry order, when they number 2**n - 1
     and all are int masks in 1..2**n - 1 (exactly int: 1.0 and True hash
-    like 1) or all are canonical nonempty key strings; None otherwise."""
+    like 1) or all are canonical nonempty key strings; None otherwise.
+    Canonical keys already in mask order give `range(1, 2**n)`."""
     size = 1 << n
     if len(values) != size - 1:
         return None
-    keys = list(values.keys())
+    keys = tuple(values)
     kinds = set(map(type, keys))
     if kinds == {int}:
         return keys if min(keys) >= 1 and max(keys) < size else None
     if kinds == {str}:
-        index = dict(zip(coalition_keys(n)[1:], range(1, size)))
+        canonical = coalition_keys(n)[1:]
+        if keys == canonical:
+            return range(1, size)
+        index = dict(zip(canonical, range(1, size)))
         masks = list(map(index.get, keys))
         return masks if None not in masks else None
     return None
@@ -256,44 +261,53 @@ def _bulk_masks(n: int, values: Mapping) -> list | None:
 def build_table(n: int, values: Mapping, convert) -> tuple[Fraction, ...]:
     """The mask-indexed worth table of an n-player game, validated.
 
-    The one builder behind the game constructor and `parse_game`. When
-    `_bulk_masks` places every key, the keys, being distinct, cover every
-    nonempty coalition once and none is at fault; the worths go through one
-    `map(convert, ...)` in entry order, so the first one refused is the
-    first fault. Otherwise the entries are walked
-    one at a time, key then worth, to name the first fault: a string key
-    is looked up among the canonical keys, and any other key, or a string
-    that misses them, goes through `as_mask`, which says what is wrong with
-    it. The empty coalition may appear only with worth 0, and no coalition
-    twice. Every nonempty coalition must appear.
+    The one builder behind the game constructor and `parse_game`.
+    `convert(values.values())` gives the Fractions of the worths in entry
+    order and raises only on reaching the first it refuses: a lazy map, or
+    a list that one bulk pass built without fault, as `gamefile` does for
+    file tokens. When `_bulk_masks` places every key, the keys, being
+    distinct, cover every nonempty coalition once and none is at fault, so
+    the first worth refused is the first fault. Otherwise the entries are
+    walked one at a time, key then worth, to name the first fault: a string
+    key is looked up among the canonical keys (indexed at the first string
+    key), and any other key, or a string that misses them, goes through
+    `as_mask`, which says what is wrong with it. The empty coalition may
+    appear only with worth 0, and no coalition twice. Every nonempty
+    coalition must appear.
     """
     check_player_count(n)
     masks = _bulk_masks(n, values)
+    worths = convert(values.values())
     if masks is not None:
+        if type(masks) is range:
+            return (ZERO, *worths)
         table = [ZERO] * (1 << n)
-        list(map(table.__setitem__, masks, map(convert, values.values())))
+        list(map(table.__setitem__, masks, worths))
         return tuple(table)
-    keys = coalition_keys(n)
-    index = dict(zip(keys, range(len(keys))))
-    table: list[Fraction | None] = [None] * len(keys)
+    worths = iter(worths)
+    index = None
+    table: list[Fraction | None] = [None] * (1 << n)
     table[0] = ZERO
-    for coalition, raw in values.items():
-        mask = index.get(coalition) if type(coalition) is str else None
+    for coalition, _ in values.items():
+        mask = None
+        if type(coalition) is str:
+            index = index or dict(zip(coalition_keys(n), range(1 << n)))
+            mask = index.get(coalition)
         if mask is None:
             mask = as_mask(coalition, n)
-        worth = convert(raw)
+        worth = next(worths)
         if mask == 0:
             if worth != 0:
                 raise GameError(
                     f"the empty coalition must be worth 0, got {exact_text(worth)}"
                 )
         elif table[mask] is not None:
-            raise DuplicateCoalitionError(keys[mask])
+            raise DuplicateCoalitionError(coalition_key(mask))
         else:
             table[mask] = worth
     for mask, worth in enumerate(table):
         if worth is None:
-            raise MissingCoalitionError(keys[mask])
+            raise MissingCoalitionError(coalition_key(mask))
     return tuple(table)
 
 
@@ -308,7 +322,7 @@ class _CharacteristicGame:
     __slots__ = ("_n", "_table", "_ints", "_rights")
 
     def __init__(self, n: int, values: Mapping):
-        self._table = build_table(n, values, to_fraction)
+        self._table = build_table(n, values, partial(map, to_fraction))
         self._n = n
 
     @classmethod

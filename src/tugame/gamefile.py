@@ -13,14 +13,18 @@ is tolerated when its value is exactly 0. Worths may be JSON integers,
 JSON decimal literals, or strings like "29/2" or "14.5"; quoted or bare,
 a number follows one grammar, which has no exponent form. Numeric tokens
 are converted from their digit text, so decimals stay exact: "14.5"
-becomes 29/2, never a binary float.
+becomes 29/2, never a binary float. When every worth is a plain p or p/q,
+one pattern pass validates them and one comprehension builds them; any
+other file is converted worth by worth, which names the first bad token.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import sys
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import BadNumberError, DigitLimitError, DuplicateCoalitionError, GameFormatError
 from .game import (
@@ -29,11 +33,13 @@ from .game import (
     TUGame,
     build_table,
     coalition_keys,
-    exact_text,
     token_to_fraction,
 )
 
 _TOP_LEVEL_KEYS = {"kind", "n", "values"}
+
+# A plain worth: p or p/q in ASCII digits, with a sign on p only.
+_PLAIN_WORTH = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def _reject_constant(token):
@@ -74,14 +80,34 @@ def _file_worth(raw) -> Fraction:
     raise BadNumberError(raw)
 
 
+def _file_worths(raws):
+    """The exact rationals of file worths: a list, when each reads through
+    `str` as a plain p or p/q (a JSON int, a Fraction from the float hook,
+    or such a string) and the bulk pass raises nothing (no "p/0", no
+    numerator past the digit limit); else a lazy `_file_worth` map, which
+    refuses the first fault with its own message when it reaches it."""
+    try:
+        texts = list(map(str, raws))
+        if all(map(_PLAIN_WORTH.fullmatch, texts)):
+            return [
+                Fraction(int(p), int(q or 1))
+                for p, _, q in map(str.partition, texts, repeat("/"))
+            ]
+    except (ValueError, ZeroDivisionError):
+        pass
+    return map(_file_worth, raws)
+
+
 def _pairs_to_dict(pairs):
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            if key in _TOP_LEVEL_KEYS:
-                raise GameFormatError(f"duplicate field {key!r}")
-            raise DuplicateCoalitionError(key)
-        out[key] = value
+    out = dict(pairs)
+    if len(out) < len(pairs):  # walked only to name the first repeated key
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                if key in _TOP_LEVEL_KEYS:
+                    raise GameFormatError(f"duplicate field {key!r}")
+                raise DuplicateCoalitionError(key)
+            seen.add(key)
     return out
 
 
@@ -127,7 +153,7 @@ def parse_game(text: str) -> TUGame | CostGame:
     if not isinstance(raw_values, dict):
         raise GameFormatError('"values" must be an object')
     cls = TUGame if kind == "tu" else CostGame
-    return cls._from_table(n, build_table(n, raw_values, _file_worth))
+    return cls._from_table(n, build_table(n, raw_values, _file_worths))
 
 
 def dump_json(doc, **options) -> str:
@@ -140,17 +166,15 @@ def dump_json(doc, **options) -> str:
         raise DigitLimitError() from None
 
 
-def fraction_to_token(value: Fraction) -> int | str:
-    """Canonical file token: a JSON integer when integral, else "p/q"."""
-    if value.denominator == 1:
-        return value.numerator
-    return exact_text(value)
-
-
 def game_document(game: TUGame | CostGame) -> dict:
-    """The game-file object of a game, its keys in increasing mask order."""
-    table = game.table
-    values = dict(zip(coalition_keys(game.n)[1:], map(fraction_to_token, table[1:])))
+    """The game-file object of a game, its keys in increasing mask order.
+    One `map(str, ...)` pass writes every worth as "p/q" or "p"; each "p"
+    then goes back to a JSON integer."""
+    try:
+        tokens = [t if "/" in t else int(t) for t in map(str, game.table[1:])]
+    except ValueError:
+        raise DigitLimitError() from None
+    values = dict(zip(coalition_keys(game.n)[1:], tokens))
     return {"kind": game.kind, "n": game.n, "values": values}
 
 

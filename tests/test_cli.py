@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -7,7 +8,7 @@ import pytest
 
 from tugame import parse_game, serialize_game
 from tugame.cli import _approx6
-from tugame.game import coalition_keys
+from tugame.game import coalition_key, coalition_keys
 
 from conftest import run_cli
 
@@ -251,6 +252,40 @@ def test_round_trip_through_cli_serialization(data_dir):
     report = structured("normalize", str(data_dir / "ex2.game"), "--mode", "zero")
     text = json.dumps(report["game"])
     assert serialize_game(parse_game(text)) == text
+
+
+# (JSON text, exact worth) of worths in non-canonical forms
+_WORTH_FORMS = [
+    ('"2/4"', Fraction(1, 2)),
+    ('"+3/1"', Fraction(3)),
+    ('"14.5"', Fraction(29, 2)),
+    ("14.5", Fraction(29, 2)),
+    ("5", Fraction(5)),
+    ('"5"', Fraction(5)),
+    ('"-22/6"', Fraction(-11, 3)),
+]
+
+
+@pytest.mark.parametrize("empty_entry", [False, True])
+@pytest.mark.parametrize("n", [3, 13])
+def test_input_digest_is_the_digest_of_the_canonical_file(tmp_path, n, empty_entry):
+    entries, worths = [], {}
+    for mask, key in enumerate(coalition_keys(n)[1:], 1):
+        text, worths[mask] = _WORTH_FORMS[mask % len(_WORTH_FORMS)]
+        entries.append(f'  "{key}" :\t{text}')
+    if empty_entry:
+        entries.append('"" : 0')
+    random.Random(n).shuffle(entries)
+    messy = tmp_path / "messy.game"
+    messy.write_text('{ "n" : %d ,\n "values" : {\n%s\n },\n "kind": "tu" }\n' % (n, " ,\n".join(entries)))
+    canonical = tmp_path / "canonical.game"
+    canonical.write_text(json.dumps({"kind": "tu", "n": n, "values": {
+        coalition_key(mask): worth.numerator if worth.denominator == 1 else str(worth)
+        for mask, worth in worths.items()
+    }}))
+    expected = "sha256:" + hashlib.sha256(canonical.read_bytes()).hexdigest()
+    assert structured("minimal-rights", str(messy))["input_digest"] == expected
+    assert structured("minimal-rights", str(canonical))["input_digest"] == expected
 
 
 def _digits(rng, count):

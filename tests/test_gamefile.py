@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from tugame import (
     serialize_game,
 )
 from tugame.game import coalition_keys
+from tugame.gamefile import _exact_number, _file_worth, _pairs_to_dict, _reject_constant
 from tugame.oracle import GAME_CLASSES
 
 
@@ -235,3 +237,47 @@ def test_single_fault_raises_the_same_error_both_ways(entries, error, message):
 )
 def test_multi_fault_input_reports_the_first_entry_fault(entries, error, message):
     assert _both_ways(2, entries) == [(error, message)] * 2
+
+
+# Worths on the edge of the plain p or p/q form, as JSON text: strings that
+# the bulk pass must hand to the per-entry conversion, and bare literals.
+_EDGE_WORTHS = [
+    json.dumps(token)
+    for token in (
+        "1/2\n3/4", "3/", "/4", "3/-4", "3/+4", "+3/4", "007/3", "-0/5",
+        "\u0663/4", " 3/4 ", "1_000/3", "3/0",
+        "1" * ((sys.get_int_max_str_digits() or 4300) + 1) + "/3",
+        "14.5",
+    )
+] + ["14.5", "7", "true", "null", "[]", "{}"]
+
+
+def _per_entry(values_text: str):
+    """The worths of a values object, each converted alone by `_file_worth`,
+    or the (type, message) of the first it refuses."""
+    raws = json.loads(
+        values_text,
+        parse_float=_exact_number(Fraction),
+        parse_int=_exact_number(int),
+        parse_constant=_reject_constant,
+        object_pairs_hook=_pairs_to_dict,
+    ).values()
+    try:
+        return tuple(map(_file_worth, raws))
+    except GameError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("where", ["alone", "first", "middle", "last"])
+@pytest.mark.parametrize("token", _EDGE_WORTHS)
+def test_bulk_worths_agree_with_per_entry_conversion(token, where):
+    n = 1 if where == "alone" else 13
+    entries = [f"{json.dumps(key)}: {json.dumps(worth)}" for key, worth in _worths(n).items()]
+    at = {"alone": 0, "first": 0, "middle": len(entries) // 2, "last": -1}[where]
+    entries[at] = entries[at].split(": ")[0] + ": " + token
+    values_text = "{%s}" % ", ".join(entries)
+    try:
+        parsed = parse_game('{"kind": "tu", "n": %d, "values": %s}' % (n, values_text)).table[1:]
+    except GameError as exc:
+        parsed = type(exc), str(exc)
+    assert parsed == _per_entry(values_text)
