@@ -10,8 +10,8 @@ credibly be denied. Both vectors are exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import sub
+from itertools import compress, repeat
+from operator import ge, sub
 
 from .errors import PlayerNotInCoalitionError
 from .game import TUGame, additive_table, as_mask, bit_slices, coalition_key, is_player
@@ -63,57 +63,40 @@ def minimal_rights(game: TUGame) -> tuple[Fraction, ...]:
     The game stores the vector on first use, as it does its integer view,
     so `classify`, `tau_value` and direct calls compute it once per game.
 
-    Computed as m_i = M_i + max over S containing i of r(S), where
-    r(S) = v(S) - sum of M_j over S is the same for every member, so it is
-    formed once per coalition.
-
-    When the game's integer view w = v * D exists (D, the common
-    denominator of the table, at most 2**64), each M_i * D is an int, r * D
-    is one C-level `map(sub)` of w and the utopia sums, and each maximum is
-    a C-level `max` over the slices of the masks that contain i.
-
-    Otherwise the utopia sums are ints over d, the common denominator of
-    the n utopia payoffs (never of the whole table), and r(S) is kept as
-    the int pair (p_S * d - q_S * d * sum M_S, q_S), whose quotient is
-    r(S) * d. Pairs are compared by cross-multiplying, so no gcd is taken
-    until the n results are built, and the maxima are found by folding
-    the list from the top player down: player i's masks are its upper
-    half, and the pairwise best of its two halves leaves, for each mask of
-    the lower players, its best extension by i and above. That is about
-    2**(n + 1) comparisons in all, not n * 2**(n - 1).
+    Computed on the view w of g(S) = v(S) - sum of v_i over S, whose
+    utopia payoffs are M_j - v_j, as m_i = v_i + max over S containing i
+    of u_i + r(S). Here u_j = w(N) - w(N minus j), and r(S) = w(S) - sum
+    of u_j over S is formed once per coalition, by one C-level `map(sub)`;
+    each maximum is a C-level `max` over the slices of the masks that
+    contain i. On an exact view m_i = v_i + (u_i + max) / scale. On a
+    rounded one each u_j is within 2 of its true value times 2**64, so
+    u_i + r(S) = w(S) - sum of u_j over S minus i is within 2n, and the
+    true maximum lies among the masks within 4n of the computed one: only
+    those, found in the slices whose own maximum reaches that far, are
+    resolved exactly, as `remainder`s over the Fractions.
     """
     rights = getattr(game, "_rights", None)
     if rights is not None:
         return rights
     n = game.n
-    payoffs = utopia_payoffs(game)
-    view = game._int_view()
-    if view is not None:
-        d, w = view
-        upper = [m.numerator * (d // m.denominator) for m in payoffs]
-        rest = list(map(sub, w, additive_table(upper)))
-        rights = tuple(
-            Fraction(upper[i] + max(max(rest[having]) for _, having in bit_slices(n, i)), d)
-            for i in range(n)
-        )
-    else:
-        table = game.table
-        d = lcm(*(m.denominator for m in payoffs))
-        scaled = [m.numerator * (d // m.denominator) for m in payoffs]
-        pairs = [
-            (v.numerator * d - total * v.denominator, v.denominator)
-            for v, total in zip(table, additive_table(scaled))
-        ]
-        found = []
-        for i in reversed(range(n)):
-            low = 1 << i
-            best, best_den = pairs[low]
-            for r, q in pairs[low + 1 :]:
-                if r * best_den > best * q:
-                    best, best_den = r, q
-            found.append(payoffs[i] + Fraction(best, best_den * d))
-            halves = zip(pairs[:low], pairs[low:])
-            pairs = [b if b[0] * a[1] > a[0] * b[1] else a for a, b in halves]
-        rights = tuple(reversed(found))
-    game._rights = rights
+    scale, w, exact = game._view()
+    full = len(w) - 1
+    upper = [w[full] - w[full ^ (1 << i)] for i in range(n)]
+    rest = list(map(sub, w, additive_table(upper)))
+    masks = range(len(w))
+    found = []
+    for i in range(n):
+        slices = [having for _, having in bit_slices(n, i)]
+        tops = list(map(max, map(rest.__getitem__, slices)))
+        best = max(tops)
+        if exact:
+            found.append(game.table[1 << i] + Fraction(upper[i] + best, scale))
+        else:
+            floor = best - 4 * n
+            found.append(max(
+                remainder(game, s, i + 1)
+                for having, top in zip(slices, tops) if top >= floor
+                for s in compress(masks[having], map(ge, rest[having], repeat(floor)))
+            ))
+    rights = game._rights = tuple(found)
     return rights

@@ -8,9 +8,16 @@ game constructor and `gamefile.parse_game`, fill and validate the table
 through one builder, `build_table`, which places every entry in C-level
 passes when all keys are int masks or all are canonical key strings.
 
-A game stores, each built on first use, its integer view (`_int_view`),
-which the kernels in `properties` and `bounds` scan over the slices of
-`bit_slices`, and its minimal rights (`bounds.minimal_rights`).
+A game stores, each built on first use, its minimal rights
+(`bounds.minimal_rights`) and one integer view (`_view`) of its
+zero-normalized game g(S) = v(S) - sum of v_i over S, which the kernels
+in `properties` and `bounds` scan over the slices of `bit_slices`: g has
+v's (weak) superadditivity, convexity and additivity, its utopia payoffs and
+minimal rights are v's less v_i. The view is exact, w = g * scale for a
+scale <= 2**64, when g's denominators allow (as they do whenever the
+large ones sit only in an additive part), and else rounded: scale 2**64
+and each w(S) within 1 of g(S) * 2**64, so that a check combining k
+entries is off by less than k.
 
 All worths are `fractions.Fraction` values. Binary floats are refused on
 input: the degeneracy checks downstream hinge on knife-edge equalities that
@@ -24,8 +31,10 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from functools import partial
-from math import lcm
+from functools import cache, partial
+from itertools import repeat
+from math import gcd, lcm
+from operator import add, attrgetter, floordiv, lshift, mul, rshift, sub
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -41,10 +50,11 @@ from .errors import (
 
 MAX_PLAYERS = 16
 
-# The largest common denominator the integer view takes: its ints then
-# span a few machine words, not the hundreds of thousands of bits that
-# large coprime denominators reach.
-_VIEW_LIMIT = 1 << 64
+# The largest scale of the integer view, and the scale of a rounded one:
+# its ints then span a few machine words, not the hundreds of thousands of
+# bits that large coprime denominators reach.
+_VIEW_BITS = 64
+_VIEW_LIMIT = 1 << _VIEW_BITS
 
 ZERO = Fraction(0)
 
@@ -158,9 +168,11 @@ def coalition_key(mask: int) -> str:
     return ",".join(str(p) for p in coalition_members(mask))
 
 
+@cache
 def coalition_keys(n: int) -> tuple[str, ...]:
     """Canonical keys of all 2**n coalitions, indexed by mask ("" for the
-    empty one). Each key extends the key of its mask without the top bit."""
+    empty one). Each key extends the key of its mask without the top bit.
+    Built once per n."""
     keys = [""]
     for player in range(1, n + 1):
         label = str(player)
@@ -191,6 +203,17 @@ def bit_slices(n: int, i: int) -> list[tuple[slice, slice]]:
     if low <= size // step:
         return [(slice(o, size, step), slice(o + low, size, step)) for o in range(low)]
     return [(slice(b, b + low), slice(b + low, b + step)) for b in range(0, size, step)]
+
+
+def _lcm_within(denominators) -> int | None:
+    """The lcm of the denominators, or None once it passes 2**64."""
+    d = 1
+    for q in denominators:
+        if d % q:
+            d = lcm(d, q)
+            if d > _VIEW_LIMIT:
+                return None
+    return d
 
 
 def is_player(player, n: int) -> bool:
@@ -316,10 +339,10 @@ class _CharacteristicGame:
 
     kind = ""
 
-    # `_ints` holds the integer view once `_int_view` has built it, and
+    # `_scaled` holds the integer view once `_view` has built it, and
     # `_rights` the minimal rights once `bounds.minimal_rights` has; both
     # are derived from `_table`, so equality, hashing and repr ignore them.
-    __slots__ = ("_n", "_table", "_ints", "_rights")
+    __slots__ = ("_n", "_table", "_scaled", "_rights")
 
     def __init__(self, n: int, values: Mapping):
         self._table = build_table(n, values, partial(map, to_fraction))
@@ -333,25 +356,47 @@ class _CharacteristicGame:
         game._table = table
         return game
 
-    def _int_view(self) -> tuple[int, list] | None:
-        """(D, w): D the lcm of the table's denominators and w[S] = v(S) * D
-        as ints, or None when D exceeds 2**64. Built on first use; the lcm
-        pass stops at the first denominator that takes D past the limit."""
+    def _view(self) -> tuple[int, list, bool]:
+        """(scale, w, exact), the integer view of g(S) = v(S) - sum of v_i
+        over S, indexed by mask; built on first use.
+
+        When the lcm D of the table's denominators is at most 2**64, w is
+        v * D minus the subset sums of its singleton entries. Otherwise
+        g(S) = t(S) / (q_S * e), for q_S the denominator of v(S) and e the
+        lcm of the singleton denominators, and the lcm of g's reduced
+        denominators is the scale. Each lcm pass stops past 2**64. Past it
+        the view is rounded: w = (h - subset sums of h's singleton entries)
+        / 2**6, rounded to nearest, for h(S) = floor(v(S) * 2**70). Those
+        floors put w within 1/2 + (|S| + 1) / 2**6 < 1 of g(S) * 2**64, as
+        |S| <= MAX_PLAYERS.
+        """
         try:
-            return self._ints
+            return self._scaled
         except AttributeError:
             pass
-        view = None
-        d = 1
-        for worth in self._table:
-            q = worth.denominator
-            if d % q:
-                d = lcm(d, q)
-                if d > _VIEW_LIMIT:
-                    break
+        table = self._table
+        singles = [1 << i for i in range(self._n)]
+        d = _lcm_within(map(attrgetter("denominator"), table))
+        if d is not None:
+            w = [v.numerator * (d // v.denominator) for v in table]
+            view = d, list(map(sub, w, additive_table([w[m] for m in singles]))), True
         else:
-            view = d, [v.numerator * (d // v.denominator) for v in self._table]
-        self._ints = view
+            nums = [v.numerator for v in table]
+            dens = [v.denominator for v in table]
+            e = lcm(*(dens[m] for m in singles))
+            sums = additive_table([nums[m] * (e // dens[m]) for m in singles])
+
+            def tops():
+                return map(sub, map(mul, nums, repeat(e)), map(mul, sums, dens))
+
+            d = _lcm_within(q * e // gcd(t, q * e) for t, q in zip(tops(), dens))
+            if d is not None:
+                view = d, [t * d // (q * e) for t, q in zip(tops(), dens)], True
+            else:
+                h = list(map(floordiv, map(lshift, nums, repeat(_VIEW_BITS + 6)), dens))
+                w = map(sub, h, additive_table([h[m] for m in singles]))
+                view = _VIEW_LIMIT, list(map(rshift, map(add, w, repeat(32)), repeat(6))), False
+        self._scaled = view
         return view
 
     @property

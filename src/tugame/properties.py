@@ -20,38 +20,32 @@ none of three exact shortcuts settles the answer first:
   v(empty) = 0. O(n**2 * 2**n). Only a game that fails this test pays
   for the full scan.
 
-The tests compare exact rationals without building a `Fraction` per
-comparison. When the common denominator D of the whole table is at most
-2**64, the game's integer view w(S) = v(S) * D turns every worth into an
-int of a few machine words. The additivity test is then one list
-comparison of w with the subset sums of its singleton entries, and the
-convexity test stores each player's 2**(n - 1) marginal gains compressed,
-indexed by the mask with that player's bit removed, and compares them
-with C-level maps over slices. Otherwise (for worths with
-large coprime denominators D runs to hundreds of thousands of bits) the
-tests read the numerators p and denominators q of the worth table once,
-and the pair scans test v(U) >= v(S) + v(T) for U = S | T as
-
-    p_U * q_S * q_T >= (p_S * q_T + p_T * q_S) * q_U,
-
-which is the same inequality multiplied through by the positive
-q_S * q_T * q_U (a `Fraction` denominator is always positive). The
-convexity test does the same with marginal worths kept as int pairs, and
-the additivity test works in ints over the common denominator of the n
-singleton worths. That is plain int arithmetic with no gcd, so it stays
-exact and fast whatever the denominators. Floats are never used.
+The tests read the game's integer view w of g(S) = v(S) - sum of v_i
+over S (`game._view()`), which adding an additive game leaves unchanged,
+so none of them builds a `Fraction` per comparison. Additivity at zero
+surplus is `not any(w)` on an exact view: an additive g is identically
+0, whose view is always exact. The convexity test stores each player's
+2**(n - 1) marginal gains compressed, indexed by the mask with that
+player's bit removed, and compares them with C-level maps over slices;
+weak superadditivity reads g(S | i) >= g(S), one C-level scan per slice
+pair. On an exact view every comparison is exact. On a rounded one each
+entry is within 1 of g(S) * 2**64, so a check that combines k entries
+(4 in a convexity check, 3 in a pair, 2 in weak superadditivity) is
+trusted only when its margin on w is at least k, either way; every
+closer call is decided from the table's Fractions, so each answer stays
+exact. Floats are never used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import ge, mul, sub
+from itertools import repeat
+from operator import add, ge, sub
 
 from .bounds import minimal_rights, utopia_payoffs
 from .errors import NotEssentialError
-from .game import TUGame, additive_table, bit_slices, exact_text
+from .game import TUGame, bit_slices, exact_text
 
 
 @dataclass(frozen=True)
@@ -85,65 +79,34 @@ def is_superadditive(game: TUGame) -> bool:
     convexity (surplus > 0); the full pair scan runs only on a game with
     positive surplus that is not convex.
     """
-    table = game.table
-    singles = game.singleton_values()
-    surplus = game.grand_value - sum(singles)
+    surplus = game.grand_value - sum(game.singleton_values())
     if surplus < 0:
         return False
-    view = game._int_view()
+    _, w, exact = game._view()
     if surplus == 0:
-        if view is None:
-            return _is_additive(table, singles)
-        w = view[1]
-        return w == additive_table([w[1 << i] for i in range(game.n)])
-    if view is not None and _is_convex_scaled(view[1], game.n):
+        return exact and not any(w)
+    table = game.table
+    if _is_convex(table, w, game.n, 0 if exact else 4):
         return True
-    nums = [v.numerator for v in table]
-    dens = [v.denominator for v in table]
-    if view is None and _is_convex(nums, dens, game.n):
+    return _pairs_superadditive(table, w, 0 if exact else 3)
+
+
+def _holds(big, small, margin: int, masks, decide) -> bool:
+    """big[k] >= small[k] for every k, where the two are view entries (or
+    sums of them) off by less than `margin` in all: a comparison that
+    clears `margin` either way is trusted, and `decide(masks[k])` settles
+    a closer one exactly. `margin` is 0 on an exact view."""
+    if all(map(ge, big, map(add, small, repeat(margin)) if margin else small)):
         return True
-    return _pairs_superadditive(nums, dens, game.grand_mask)
-
-
-def _is_additive(table, singles) -> bool:
-    """v(S) = sum of v_i over S for every S, in ints over d, the common
-    denominator of the singleton worths: the sum is A_S / d for an int A_S,
-    and it equals v(S) = p_S / q_S exactly when p_S * d = A_S * q_S."""
-    d = lcm(*(v.denominator for v in singles))
-    sums = additive_table([v.numerator * (d // v.denominator) for v in singles])
-    return all(v.numerator * d == total * v.denominator for v, total in zip(table, sums))
-
-
-def _is_convex(nums, dens, n: int) -> bool:
-    """v(S | i | j) - v(S | j) >= v(S | i) - v(S) for all players i < j and
-    every S without them: the marginal worth of i never falls when j joins.
-
-    For each i the marginal worth at every mask s is formed once, with
-    C-level maps, as the int pair (p_{s+i} * q_s - p_s * q_{s+i},
-    q_{s+i} * q_s); read only where s lacks i, where s + i = s | i. Pairs
-    are compared by cross-multiplying.
-    """
-    full = (1 << n) - 1
-    for i in range(n - 1):
-        bit = 1 << i
-        gain_nums = list(map(sub, map(mul, nums[bit:], dens), map(mul, nums, dens[bit:])))
-        gain_dens = list(map(mul, dens[bit:], dens))
-        for j in range(i + 1, n):
-            other = 1 << j
-            rest = full ^ bit ^ other
-            s = rest
-            while True:
-                t = s | other
-                if gain_nums[s] * gain_dens[t] > gain_nums[t] * gain_dens[s]:
-                    return False
-                if not s:
-                    break
-                s = (s - 1) & rest
+    for gap, mask in zip(map(sub, big, small), masks):
+        if gap < margin and (gap <= -margin or not decide(mask)):
+            return False
     return True
 
 
-def _is_convex_scaled(w, n: int) -> bool:
-    """The convexity test of `_is_convex` on the integer view w = v * D.
+def _is_convex(table, w, n: int, margin: int) -> bool:
+    """v(S | i | j) - v(S | j) >= v(S | i) - v(S) for all players i < j and
+    every S without them: the marginal worth of i never falls when j joins.
 
     For each i, gain[c] = w(s | i) - w(s) over the 2**(n - 1) masks s
     without i, in increasing order: c is s with bit i removed, so the bits
@@ -162,25 +125,32 @@ def _is_convex_scaled(w, n: int) -> bool:
             dest = slice(c, half, low) if lacking.step else slice(c >> 1, (c >> 1) + low)
             gain[dest] = map(sub, w[having], w[lacking])
         for j in range(i, n - 1):
+            other = 2 << j
+
+            def decide(c):
+                s = ((c >> i) << (i + 1)) | (c & (low - 1))
+                return table[s | low | other] - table[s | other] >= table[s | low] - table[s]
+
             for lacking, having in bit_slices(n - 1, j):
-                if not all(map(ge, gain[having], gain[lacking])):
+                if not _holds(gain[having], gain[lacking], margin, range(half)[lacking], decide):
                     return False
     return True
 
 
-def _pairs_superadditive(nums, dens, full: int) -> bool:
-    """The full O(3**n) scan of every unordered disjoint nonempty pair."""
+def _pairs_superadditive(table, w, margin: int) -> bool:
+    """The full O(3**n) scan of every unordered disjoint nonempty pair:
+    w(S | T) - w(S) - w(T) at least `margin` passes, at most -`margin`
+    fails, and the Fractions decide in between."""
+    full = len(w) - 1
     for s in range(1, full + 1):
-        ps = nums[s]
-        qs = dens[s]
+        ws = w[s]
         # Each unordered pair is visited once, as (larger, smaller): for
         # disjoint masks t < s exactly when t's top bit is below s's.
         comp = (full ^ s) & ((1 << (s.bit_length() - 1)) - 1)
         t = comp
         while t:
-            u = s | t
-            qt = dens[t]
-            if nums[u] * qs * qt < (ps * qt + nums[t] * qs) * dens[u]:
+            gap = w[s | t] - ws - w[t]
+            if gap < margin and (gap <= -margin or table[s | t] < table[s] + table[t]):
                 return False
             t = (t - 1) & comp
     return True
@@ -195,23 +165,22 @@ def is_inessential(game: TUGame) -> bool:
 
 
 def is_weakly_superadditive(game: TUGame) -> bool:
-    """v(S union {i}) >= v(S) + v_i for every S and every i outside S."""
+    """v(S union {i}) >= v(S) + v_i for every S and every i outside S.
+
+    On the view this reads g(S | i) >= g(S), as g(i) = 0.
+    """
+    _, w, exact = game._view()
     table = game.table
-    nums = [v.numerator for v in table]
-    dens = [v.denominator for v in table]
-    full = game.grand_mask
+    masks = range(len(w))
     for i in range(game.n):
         bit = 1 << i
-        pi = nums[bit]
-        qi = dens[bit]
-        comp = full ^ bit
-        s = comp
-        while s:
-            u = s | bit
-            qs = dens[s]
-            if nums[u] * qs * qi < (nums[s] * qi + pi * qs) * dens[u]:
+
+        def decide(s):
+            return table[s | bit] >= table[s] + table[bit]
+
+        for lacking, having in bit_slices(game.n, i):
+            if not _holds(w[having], w[lacking], 0 if exact else 2, masks[lacking], decide):
                 return False
-            s = (s - 1) & comp
     return True
 
 

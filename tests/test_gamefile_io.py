@@ -62,6 +62,8 @@ def text16(game16) -> str:
 def test_coalition_keys_match_coalition_key():
     for n in range(0, 9):
         assert coalition_keys(n) == tuple(coalition_key(m) for m in range(1 << n))
+        # built once per n: every caller shares the one immutable tuple
+        assert coalition_keys(n) is coalition_keys(n)
 
 
 def test_additive_table_is_subset_sums():

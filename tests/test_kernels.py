@@ -1,15 +1,19 @@
-"""Differential tests of the exact bitmask kernels at n = 2..11, and budgets at n = 16.
+"""Differential tests of the exact bitmask kernels at n = 2..12, and budgets at n = 16.
 
-`is_superadditive`, `is_weakly_superadditive` and `minimal_rights` compare
-rationals as ints over the table's common denominator D when D <= 2**64
-(the game's integer view), and otherwise by cross-multiplying numerators
-and denominators. Each is checked here, with `tau_value`, against
-`recompute_by_definition`, which walks the defining formulas over
-`Fraction` with unrelated loops, on three kinds of input: worths with
-large (mostly coprime) denominators, knife-edge games whose inequalities
-hold with equality across different denominators, and games with ties in
-the minimal-rights maximum. Every game's integer view is checked against
-its definition.
+`is_superadditive`, `is_weakly_superadditive` and `minimal_rights` read one
+integer view of the zero-normalized game g(S) = v(S) - sum of v_i over S:
+exact (w = g * scale, scale <= 2**64) when g's common denominator allows,
+else rounded (each entry within 1 of g * 2**64), where every check too
+close to call on w is decided from the Fractions. Each kernel is checked
+here, with `tau_value`, against `recompute_by_definition`, which walks the
+defining formulas over `Fraction` with unrelated loops, on four kinds of
+input: worths with large (mostly coprime) denominators, knife-edge games
+whose inequalities hold with equality across different denominators,
+games with ties in the minimal-rights maximum, and games whose rounded
+view is off by a third of its unit at random, so that many checks fall
+to the exact fallback. Every game's view is checked against its
+definition, and a strategic-equivalence law moves games across the
+2**64 cut-off.
 
 `is_superadditive` settles most games without its O(3**n) pair scan: by
 the sign of the surplus, by additivity at zero surplus, and by convexity
@@ -38,6 +42,7 @@ from tugame import (
     is_weakly_superadditive,
     minimal_rights,
     savings_game,
+    scale_shift,
     tau_value,
     utopia_payoffs,
     zero_normalize,
@@ -97,11 +102,22 @@ def _superadditive(rng, n):
     return _game(n, table.__getitem__)
 
 
+def _zero_normalized(game):
+    """g(S) = v(S) - sum of v_i over S, over Fraction."""
+    return [v - a for v, a in zip(game.table, additive_table(game.singleton_values()))]
+
+
 def _assert_view(game):
-    """The integer view is (D, v * D) for D the lcm of every denominator,
-    or None when D exceeds 2**64."""
-    d = lcm(*(v.denominator for v in game.table))
-    assert game._int_view() == (None if d > TWO64 else (d, [v * d for v in game.table]))
+    """The view of g is exact, w = g * scale for some scale <= 2**64,
+    when the lcm of g's denominators is at most 2**64, and otherwise
+    rounded: scale 2**64 and each w(S) within 1 of g(S) * 2**64."""
+    scale, w, exact = game._view()
+    g = _zero_normalized(game)
+    assert exact == (lcm(*(x.denominator for x in g)) <= TWO64)
+    if exact:
+        assert scale <= TWO64 and w == [x * scale for x in g]
+    else:
+        assert scale == TWO64 and all(abs(y - x * TWO64) < 1 for x, y in zip(g, w))
 
 
 def _assert_kernels_agree(game):
@@ -197,11 +213,12 @@ def test_exactly_one_tight_pair(n):
 def test_ties_in_the_minimal_rights_maximum(n):
     """Several coalitions share each player's best remainder
     r(S) = v(S) - sum of M_j over S, each reached with a different
-    denominator, and D > 2**64. The table is built from M (denominators
-    up to 10**6) and r, with r(N minus j) = r(N) as M_j = v(N) - v(N minus j)
-    requires. For every pair i < k the best is tied at a mask S with i but
-    not k and at S | k: on both sides of each half boundary that the
-    minimal-rights fold crosses before it reaches player i."""
+    denominator, and g's view is rounded. The table is built from M
+    (denominators up to 10**6) and r, with r(N minus j) = r(N) as
+    M_j = v(N) - v(N minus j) requires. For every pair i < k the best is
+    tied at a mask S with i but not k and at S | k, which lie in the two
+    halves of every slice pair of bit k: each tie is one more coalition
+    inside the error band that is resolved exactly."""
     rng = random.Random(1100 + n)
     full = (1 << n) - 1
     upper = [_big_fraction(rng, -n, n) for _ in range(n)]
@@ -221,7 +238,8 @@ def test_ties_in_the_minimal_rights_maximum(n):
     table = [r + sum(upper[j] for j in _members(m, n)) for m, r in enumerate(rest)]
     table[0] = Fraction(0)
     game = _game(n, table.__getitem__)
-    assert game._int_view() is None
+    # at n = 2 g's one nonzero worth, -best, may reduce to a denominator of 2**64
+    assert not game._view()[2] or n == 2
     assert utopia_payoffs(game) == tuple(upper)
     for i in range(n):
         tied = [m for m in range(full + 1) if m >> i & 1 and rest[m] == best]
@@ -232,8 +250,9 @@ def test_ties_in_the_minimal_rights_maximum(n):
 
 SHORTCUT_SIZES = range(2, 9)
 # "2**64" and "3*2**64" draw the same worths over 2**64, the largest
-# common denominator the integer view takes; "3*2**64" then moves the
-# first weight by 1/(3 * 2**64), which takes the table just past it.
+# scale of an exact view; "3*2**64" then moves the first weight by
+# 1/(3 * 2**64), which takes the table's common denominator just past it
+# but leaves g, and so its exact view, unchanged.
 RESOLUTIONS = ("small", "coprime", "2**64", "3*2**64")
 
 
@@ -336,10 +355,10 @@ def test_convex_games_are_decided_without_the_scan(n, resolution, full_scans):
     table = _convex_table(n, weights, curvature)
     assert _convex_by_definition(table, n)
     _assert_decided(table, True, False, full_scans)
-    if resolution in ("2**64", "3*2**64"):
-        # the two sides of the integer view's limit
-        view = _game(n, table.__getitem__)._int_view()
-        assert (view is None) if resolution == "3*2**64" else view[0] == TWO64
+    # g = curvature * (|S|**2 - |S|) whatever the additive part, so every
+    # resolution takes the exact view, over 2**64 for the grid over 2**64
+    scale, _, exact = _game(n, table.__getitem__)._view()
+    assert exact and (scale == TWO64 or resolution != "2**64")
     if n >= 3:
         # convex with the top check tight, then one step past it: still
         # superadditive, but only the full scan can say so
@@ -426,7 +445,7 @@ def test_every_worth_moved_by_one_step(n, resolution, full_scans):
     player 1 (an additive part that takes D past 2**64).
     `is_superadditive` and `classify` match the definitions, and the pair
     scan runs exactly when the surplus is positive and the moved table is
-    not convex."""
+    not convex. The additive part over 3 * 2**64 leaves g's view exact."""
     rng = random.Random(1800 + n)
     step = Fraction(1, 12 if resolution == "small" else TWO64)
     shift = 0 if resolution == "small" else Fraction(1, 3 * TWO64)
@@ -439,12 +458,44 @@ def test_every_worth_moved_by_one_step(n, resolution, full_scans):
                 ints[mask] += move
                 table = [w * step + shift * (m & 1) for m, w in enumerate(ints)]
                 game = _game(n, table.__getitem__)
-                assert (game._int_view() is None) == (resolution == "3*2**64")
+                assert game._view()[2]
                 flags = recompute_by_definition(game).classification
                 full_scans.clear()
                 assert is_superadditive(game) == flags.superadditive
                 assert bool(full_scans) == (flags.essential and not _convex_by_definition(ints, n))
                 assert classify(game) == flags
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_thirds_below_the_rounded_view(n, full_scans):
+    """v(S) = (3 * b(S) + t(S)) / (3 * 2**64), for b the integer additive or
+    curved table of `test_every_worth_moved_by_one_step` with one worth
+    moved by -1, 0 or 1, and t(S) in {0, 1, 2} drawn for each coalition of
+    two or more players. g's denominator is then 3 * 2**64, past the
+    limit, so the view is rounded, while g(S) * 2**64 sits a third or two
+    off an int: many convexity, pair and weak-superadditivity checks and
+    minimal-rights maxima fall inside their margins and are decided
+    exactly. The pair scan runs exactly when the game is essential and
+    not convex."""
+    rng = random.Random(1900 + n)
+    additive = additive_table([rng.randint(-12, 12) for _ in range(n)])
+    curved = [w + mask.bit_count() ** 2 // 4 for mask, w in enumerate(additive)]
+    rounded = 0
+    for base in (additive, curved):
+        for _ in range(40):
+            ints = base.copy()
+            ints[rng.randrange(1, 1 << n)] += rng.choice((-1, 0, 1))
+            thirds = [rng.randrange(3) if mask.bit_count() >= 2 else 0 for mask in range(1 << n)]
+            table = [Fraction(3 * b + t, 3 * TWO64) for b, t in zip(ints, thirds)]
+            game = _game(n, table.__getitem__)
+            flags = recompute_by_definition(game).classification
+            full_scans.clear()
+            assert is_superadditive(game) == flags.superadditive
+            assert bool(full_scans) == (flags.essential and not _convex_by_definition(table, n))
+            _assert_kernels_agree(game)
+            rounded += not game._view()[2]
+    # at n = 2 one worth carries a third, and a third of the draws give it 0
+    assert rounded >= (75 if n > 2 else 30)
 
 
 def _tie_heavy_table(n):
@@ -458,9 +509,11 @@ def _tie_heavy_table(n):
 @pytest.mark.parametrize("n", (9, 10, 11))
 def test_nine_to_eleven_players_match_the_definitions(n, family):
     """At n = 9..11 the integer view's strided and block slices each cover
-    several bits. Small denominators take the view, the coprime family
-    (the not-convex one over denominators up to 10**6) the fallback.
-    `superadditive` lists the expected flag of each table."""
+    several bits. Small denominators take the exact view. The coprime
+    family is the not-convex one over denominators up to 10**6, with each
+    (n - 1)-player worth moved by its own step, so g's denominators stay
+    coprime and its view is rounded. `superadditive` lists the expected
+    flag of each table."""
     rng = random.Random(1700 + n)
     resolution = "coprime" if family == "coprime" else "small"
     weights, curvature = _weights(rng, n, resolution), _curvature(rng, resolution)
@@ -483,10 +536,14 @@ def test_nine_to_eleven_players_match_the_definitions(n, family):
         tables.append(table)
         superadditive = [False, False, False]
     else:
-        tables = [_raised_below_grand(n, weights, curvature, edge + move) for move in (-step, step)]
+        tables = [_raised_below_grand(n, weights, curvature, edge) for _ in range(2)]
+        full = (1 << n) - 1
+        for sign, table in zip((-1, 1), tables):
+            for i in range(n):
+                table[full ^ 1 << i] += sign * _step(rng, resolution)
         superadditive = [True, False]
     games = [_game(n, table.__getitem__) for table in tables]
-    assert [game._int_view() is None for game in games] == [family == "coprime"] * len(games)
+    assert [game._view()[2] for game in games] == [family != "coprime"] * len(games)
     assert [is_superadditive(game) for game in games] == superadditive
     for game in games:
         _assert_kernels_agree(game)
@@ -518,12 +575,13 @@ def test_tau_value_computes_minimal_rights_once(monkeypatch, symmetric_unit):
 
 @pytest.mark.parametrize("view", [True, False])
 def test_minimal_rights_are_computed_once_per_game(monkeypatch, view):
+    """`view`: the game's integer view is exact, else rounded."""
     rng = random.Random(f"stored rights:{view}")
     if view:
         game = _game(4, lambda mask: Fraction(rng.randint(-9, 9), 6) + 3 * (mask == 15))
     else:
         game = _game(5, lambda mask: _big_fraction(rng) + 8 * (mask == 31))
-    assert (game._int_view() is not None) == view
+    assert game._view()[2] == view
     before = (game, hash(game), repr(game))
     calls = []
     kernel = tugame.bounds.additive_table
@@ -638,7 +696,7 @@ def test_superadditive_sixteen_player_games_within_budget(family):
         weights = _weights(rng, n, "2**64")
         curvature = _curvature(rng, "2**64")
         game = _game(n, _convex_table(n, weights, curvature).__getitem__)
-        assert game._int_view()[0] == TWO64
+        assert game._view()[::2] == (TWO64, True)
         flags = (True, False, True, True, False, True)
         # the Gately point moves with an additive part
         expected = (GatelyStatus.UNIQUE_IMPUTATION, tuple(a + curvature * n for a in weights))
@@ -652,3 +710,98 @@ def test_superadditive_sixteen_player_games_within_budget(family):
 
     assert classification == tugame.properties.GameClassification(*flags)
     assert (result.status, result.point) == expected
+
+
+@pytest.fixture(scope="module")
+def row_one():
+    """ROADMAP row 1 at n = 16: u(S) = |S|**2 / 3 plus the additive part a
+    of the additive family, whose denominators are the 16 primes below
+    10**6. Returns (table, a)."""
+    rng = random.Random(1616)
+    weights = [Fraction(rng.randint(-q, q), q) for q in _primes_below(BIG, 16)]
+    table = [Fraction(m.bit_count() ** 2, 3) + a for m, a in enumerate(additive_table(weights))]
+    return tuple(table), weights
+
+
+@pytest.fixture(scope="module")
+def row_five():
+    """ROADMAP row 5 at n = 16, an induced-subgraph game: v(S) = |S| plus
+    1/p_ij over the pairs i < j inside S, for 120 distinct primes p_ij
+    between 10**6 and 2 * 10**6. Each worth is the worth of its mask
+    without the top player t, plus 1, plus t's edge weights to the rest:
+    coprime denominators, so no sum needs a gcd to reduce."""
+    n = 16
+    primes = iter(_primes_below(2 * BIG, n * (n - 1) // 2))
+    table = [Fraction(0)]
+    for t in range(n):
+        edges = additive_table([Fraction(1, next(primes)) for _ in range(t)])
+        table += [v + e + 1 for v, e in zip(table, edges)]
+    return tuple(table)
+
+
+CONVEX_FLAGS = tugame.properties.GameClassification(True, False, True, True, False, True)
+
+
+def test_roadmap_row_one_within_budget(row_one):
+    """Row 1: the table's common denominator is far past 2**64, but g(S) =
+    (|S|**2 - |S|) / 3 has the exact view over 3, and classify takes
+    < 2 s. The game is a symmetric game u plus the additive part a, so by
+    symmetry and covariance its tau-value and Gately point are both
+    u(N) / n + a_i = 16 / 3 + a_i."""
+    table, weights = row_one
+    game = TUGame._from_table(16, table)
+    started = time.perf_counter()
+    flags = classify(game)
+    assert time.perf_counter() - started < 2.0
+    assert flags == CONVEX_FLAGS
+    assert game._view()[::2] == (3, True)
+    expected = tuple(Fraction(16, 3) + a for a in weights)
+    assert tau_value(game).point == expected
+    assert gately_point(game).point == expected
+
+
+def test_roadmap_row_five_within_budget(row_five):
+    """Row 5: the induced-subgraph game is convex, as every edge weight is
+    positive, and its large denominators sit in the part that is not
+    additive, so g's view is rounded. Every convexity check clears its
+    margin by about 2**64 / (2 * 10**6), and classify takes < 2 s."""
+    game = TUGame._from_table(16, row_five)
+    started = time.perf_counter()
+    flags = classify(game)
+    assert time.perf_counter() - started < 2.0
+    assert flags == CONVEX_FLAGS
+    assert not game._view()[2]
+
+
+@pytest.mark.parametrize("family", ["small denominators", "random worths"])
+def test_strategic_equivalence_across_the_cut_off(family):
+    """scale_shift with offsets over the 12 primes below 10**6 takes the
+    table's common denominator past 2**64. g is only rescaled, so the
+    tie-heavy game over small denominators keeps an exact view, and a game
+    of random worths over denominators up to 10**6 keeps a rounded one.
+    The flags stay, and M, m, the tau-value and the Gately point move
+    covariantly."""
+    n = 12
+    rng = random.Random(f"strategic equivalence:{family}")
+    if family == "small denominators":
+        game = _game(n, _tie_heavy_table(n).__getitem__)
+    else:
+        full = (1 << n) - 1
+        game = _game(n, lambda mask: _big_fraction(rng) + (2 * n if mask == full else 0))
+    scale = Fraction(rng.randint(1, 99), rng.randint(1, 99))
+    shift = [Fraction(rng.randint(-q, q), q) for q in _primes_below(BIG, n)]
+    moved = scale_shift(game, scale, shift)
+    assert lcm(*(v.denominator for v in moved.table)) > TWO64
+    assert moved._view()[2] == game._view()[2] == (family == "small denominators")
+    _assert_view(moved)
+
+    def image(vector):
+        return None if vector is None else tuple(scale * x + b for x, b in zip(vector, shift))
+
+    assert classify(moved) == classify(game)
+    assert utopia_payoffs(moved) == image(utopia_payoffs(game))
+    assert minimal_rights(moved) == image(minimal_rights(game))
+    for solve in (tau_value, gately_point):
+        before, after = solve(game), solve(moved)
+        assert after.status is before.status
+        assert after.point == image(before.point)
