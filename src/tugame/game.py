@@ -234,13 +234,7 @@ def mask_from_key(key: str, n: int) -> int:
     players = [int(p) for p in key.split(",")]
     if any(b <= a for a, b in zip(players, players[1:])):
         raise BadCoalitionKeyError(key)
-    for player in players:
-        if player > n:
-            raise PlayerOutOfRangeError(f"player {player} outside 1..{n}")
-    mask = 0
-    for player in players:
-        mask |= 1 << (player - 1)
-    return mask
+    return as_mask(players, n)
 
 
 def nonempty_coalitions(n: int) -> Iterator[int]:
@@ -358,7 +352,8 @@ class _CharacteristicGame:
 
     def _view(self) -> tuple[int, list, bool]:
         """(scale, w, exact), the integer view of g(S) = v(S) - sum of v_i
-        over S, indexed by mask; built on first use.
+        over S, indexed by mask; built on first use from one C-level read
+        of the table's numerators and one of its denominators.
 
         When the lcm D of the table's denominators is at most 2**64, w is
         v * D minus the subset sums of its singleton entries. Otherwise
@@ -374,15 +369,14 @@ class _CharacteristicGame:
             return self._scaled
         except AttributeError:
             pass
-        table = self._table
+        nums = list(map(attrgetter("numerator"), self._table))
+        dens = list(map(attrgetter("denominator"), self._table))
         singles = [1 << i for i in range(self._n)]
-        d = _lcm_within(map(attrgetter("denominator"), table))
+        d = _lcm_within(dens)
         if d is not None:
-            w = [v.numerator * (d // v.denominator) for v in table]
+            w = list(map(mul, nums, map(floordiv, repeat(d), dens)))
             view = d, list(map(sub, w, additive_table([w[m] for m in singles]))), True
         else:
-            nums = [v.numerator for v in table]
-            dens = [v.denominator for v in table]
             e = lcm(*(dens[m] for m in singles))
             sums = additive_table([nums[m] * (e // dens[m]) for m in singles])
 

@@ -56,6 +56,9 @@ from .properties import (
 from .transforms import affine_table, zero_normalize
 
 GRID_PLAYER_LIMIT = 4
+# The search keeps resolution + 1 ints and its time grows steeply with the
+# resolution; 1000 already takes seconds at n = 4.
+GRID_RESOLUTION_LIMIT = 1000
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,9 @@ def grid_minmax_propensity(game: TUGame, resolution: int) -> GridSearchReport:
         raise GameError(
             f"resolution must be an integer >= n = {n}, got {resolution!r}"
         )
+    if resolution > GRID_RESOLUTION_LIMIT:
+        # the value is not quoted: an int past the int-to-text limit has no text
+        raise GameError(f"resolution must be at most {GRID_RESOLUTION_LIMIT}")
     singles = game.singleton_values()
     surplus = essential_surplus(game, "grid search needs an essential game")
 

@@ -24,16 +24,18 @@ The tests read the game's integer view w of g(S) = v(S) - sum of v_i
 over S (`game._view()`), which adding an additive game leaves unchanged,
 so none of them builds a `Fraction` per comparison. Additivity at zero
 surplus is `not any(w)` on an exact view: an additive g is identically
-0, whose view is always exact. The convexity test stores each player's
-2**(n - 1) marginal gains compressed, indexed by the mask with that
-player's bit removed, and compares them with C-level maps over slices;
-weak superadditivity reads g(S | i) >= g(S), one C-level scan per slice
-pair. On an exact view every comparison is exact. On a rounded one each
-entry is within 1 of g(S) * 2**64, so a check that combines k entries
-(4 in a convexity check, 3 in a pair, 2 in weak superadditivity) is
-trusted only when its margin on w is at least k, either way; every
-closer call is decided from the table's Fractions, so each answer stays
-exact. Floats are never used.
+0, whose view is always exact. Weak superadditivity and convexity are
+one test, a vector over the coalition cube that never falls when a
+player joins, run by one scan (`_monotone`) of C-level maps over
+slices. Weak superadditivity is g monotone, as g(i) = 0. Convexity is
+every marginal-gain vector monotone in the players above: each player's
+2**(n - 1) marginal gains are stored compressed, indexed by the mask
+with that player's bit removed. On an exact view every comparison is
+exact. On a rounded one each entry is within 1 of g(S) * 2**64, so a
+check that combines k entries (4 in a convexity check, 3 in a pair, 2
+in weak superadditivity) is trusted only when its margin on w is at
+least k, either way; every closer call is decided from the table's
+Fractions, so each answer stays exact. Floats are never used.
 """
 
 from __future__ import annotations
@@ -91,16 +93,20 @@ def is_superadditive(game: TUGame) -> bool:
     return _pairs_superadditive(table, w, 0 if exact else 3)
 
 
-def _holds(big, small, margin: int, masks, decide) -> bool:
-    """big[k] >= small[k] for every k, where the two are view entries (or
-    sums of them) off by less than `margin` in all: a comparison that
-    clears `margin` either way is trusted, and `decide(masks[k])` settles
-    a closer one exactly. `margin` is 0 on an exact view."""
-    if all(map(ge, big, map(add, small, repeat(margin)) if margin else small)):
-        return True
-    for gap, mask in zip(map(sub, big, small), masks):
-        if gap < margin and (gap <= -margin or not decide(mask)):
-            return False
+def _monotone(vec, m: int, first: int, margin: int, decide) -> bool:
+    """vec[c | 2**j] >= vec[c] for every bit j from `first` to m - 1 and
+    every mask c without bit j, over the slices of `bit_slices(m, j)`.
+    Each comparison is off by less than `margin` (0 on an exact view): a
+    slice whose every comparison clears it is trusted, and `decide(c, j)`
+    settles each closer entry exactly."""
+    for j in range(first, m):
+        for lacking, having in bit_slices(m, j):
+            big, small = vec[having], vec[lacking]
+            if all(map(ge, big, map(add, small, repeat(margin)) if margin else small)):
+                continue
+            for gap, c in zip(map(sub, big, small), range(len(vec))[lacking]):
+                if gap < margin and (gap <= -margin or not decide(c, j)):
+                    return False
     return True
 
 
@@ -110,9 +116,8 @@ def _is_convex(table, w, n: int, margin: int) -> bool:
 
     For each i, gain[c] = w(s | i) - w(s) over the 2**(n - 1) masks s
     without i, in increasing order: c is s with bit i removed, so the bits
-    j >= i of c stand for the players above i. For each such j, gain at
-    c | 2**j must not fall below gain at c, checked slice by slice over
-    every c without bit j.
+    j >= i of c stand for the players above i, and gain must be monotone
+    in those bits.
     """
     half = len(w) >> 1
     for i in range(n - 1):
@@ -124,16 +129,13 @@ def _is_convex(table, w, n: int, margin: int) -> bool:
             # of masks from c lands at c / 2
             dest = slice(c, half, low) if lacking.step else slice(c >> 1, (c >> 1) + low)
             gain[dest] = map(sub, w[having], w[lacking])
-        for j in range(i, n - 1):
-            other = 2 << j
 
-            def decide(c):
-                s = ((c >> i) << (i + 1)) | (c & (low - 1))
-                return table[s | low | other] - table[s | other] >= table[s | low] - table[s]
+        def decide(c, j):
+            s = ((c >> i) << (i + 1)) | (c & (low - 1))
+            return table[s | low | 2 << j] - table[s | 2 << j] >= table[s | low] - table[s]
 
-            for lacking, having in bit_slices(n - 1, j):
-                if not _holds(gain[having], gain[lacking], margin, range(half)[lacking], decide):
-                    return False
+        if not _monotone(gain, n - 1, i, margin, decide):
+            return False
     return True
 
 
@@ -167,21 +169,15 @@ def is_inessential(game: TUGame) -> bool:
 def is_weakly_superadditive(game: TUGame) -> bool:
     """v(S union {i}) >= v(S) + v_i for every S and every i outside S.
 
-    On the view this reads g(S | i) >= g(S), as g(i) = 0.
+    On the view this reads g(S | i) >= g(S), as g(i) = 0: g is monotone.
     """
     _, w, exact = game._view()
     table = game.table
-    masks = range(len(w))
-    for i in range(game.n):
-        bit = 1 << i
 
-        def decide(s):
-            return table[s | bit] >= table[s] + table[bit]
+    def decide(s, j):
+        return table[s | 1 << j] >= table[s] + table[1 << j]
 
-        for lacking, having in bit_slices(game.n, i):
-            if not _holds(w[having], w[lacking], 0 if exact else 2, masks[lacking], decide):
-                return False
-    return True
+    return _monotone(w, game.n, 0, 0 if exact else 2, decide)
 
 
 def is_weakly_constant_sum(game: TUGame) -> bool:

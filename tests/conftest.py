@@ -7,6 +7,7 @@ import pytest
 
 from tugame import CostGame, TUGame, gately_point, tau_value
 from tugame.cli import run
+from tugame.game import additive_table
 from tugame.gately import GatelyStatus
 from tugame.tau import TauStatus
 
@@ -120,6 +121,38 @@ def assert_tau_agrees(game: TUGame, report) -> None:
         assert sum(tau.point) == game.grand_value
     elif tau.status is TauStatus.DEGENERATE_ENDPOINTS:
         assert tau.point == upper == lower
+
+
+def tie_heavy_table(n: int) -> list:
+    """v(S) = |S| / 3 + w(|S & {1, 2, 3}|) with w = 0, 0, 1, 3/2: superadditive
+    but not convex, and almost every pair holds with equality."""
+    extra = (0, 0, 1, Fraction(3, 2))
+    return [Fraction(mask.bit_count(), 3) + extra[(mask & 0b111).bit_count()] for mask in range(1 << n)]
+
+
+def primes_below(limit: int, count: int) -> list:
+    """The `count` largest primes below `limit`, descending."""
+    primes = []
+    candidate = limit
+    while len(primes) < count:
+        candidate -= 1
+        if all(candidate % d for d in range(2, int(candidate**0.5) + 1)):
+            primes.append(candidate)
+    return primes
+
+
+def induced_subgraph_table(n: int) -> list:
+    """An induced-subgraph game: v(S) = |S| plus 1/p_ij over the pairs
+    i < j inside S, for n(n - 1)/2 distinct primes p_ij between 10**6 and
+    2 * 10**6. Each worth is the worth of its mask without the top player
+    t, plus 1, plus t's edge weights to the rest: coprime denominators, so
+    no sum needs a gcd to reduce. Convex, as every edge weight is positive."""
+    primes = iter(primes_below(2 * 10**6, n * (n - 1) // 2))
+    table = [Fraction(0)]
+    for t in range(n):
+        edges = additive_table([Fraction(1, next(primes)) for _ in range(t)])
+        table += [v + e + 1 for v, e in zip(table, edges)]
+    return table
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:

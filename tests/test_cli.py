@@ -160,6 +160,15 @@ def test_oracle_minmax(data_dir):
     assert abs(best - Fraction(-2, 5)) <= Fraction(4, 120)
 
 
+def test_oracle_resolution_over_the_limit_is_exit_3(data_dir):
+    code, out, err = run_cli(
+        "oracle", "minmax", str(data_dir / "ex2.game"), "--resolution", str(10**12)
+    )
+    assert code == 3
+    assert out == ""
+    assert "resolution must be at most 1000" in err
+
+
 def test_kind_mismatch_is_exit_3(data_dir):
     code, out, err = run_cli("gately", str(data_dir / "ex3.game"))
     assert code == 3
@@ -222,6 +231,13 @@ def test_output_flag_writes_file(data_dir, tmp_path):
     assert out == ""
     report = json.loads(target.read_text())
     assert report["status"] == "UniqueImputation"
+
+
+def test_output_to_a_directory_is_exit_2(data_dir, tmp_path):
+    code, out, err = run_cli("gately", str(data_dir / "ex2.game"), "--output", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert f"cannot write {tmp_path}" in err
 
 
 def test_every_rational_has_exact_and_approx_forms(data_dir):

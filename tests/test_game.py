@@ -18,6 +18,7 @@ from tugame import (
     coalition_key,
     coalition_members,
     mask_from_key,
+    nonempty_coalitions,
     to_fraction,
 )
 
@@ -237,3 +238,19 @@ def test_a_key_that_only_equals_a_mask_is_an_invalid_coalition(key, ex1):
         TUGame(3, values)
     with pytest.raises(PlayerOutOfRangeError, match="invalid coalition"):
         ex1.value(key)
+
+
+def test_bool_and_none_are_not_worths():
+    with pytest.raises(BadNumberError):
+        to_fraction(True)
+    with pytest.raises(TypeError, match="cannot interpret None"):
+        to_fraction(None)
+
+
+def test_a_bool_in_an_index_iterable_is_an_invalid_player():
+    with pytest.raises(PlayerOutOfRangeError, match="invalid player index True"):
+        as_mask([True], 3)
+
+
+def test_nonempty_coalitions_run_from_one_to_the_grand_mask():
+    assert list(nonempty_coalitions(3)) == [1, 2, 3, 4, 5, 6, 7]

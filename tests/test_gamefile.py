@@ -140,6 +140,19 @@ def test_malformed_documents(text):
         parse_game(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"kind": "tu", "kind": "tu", "n": 1, "values": {"1": 1}}', "duplicate field 'kind'"),
+        ('{"kind": "tu", "n": 1, "values": []}', '"values" must be an object'),
+    ],
+)
+def test_malformed_document_messages(text, message):
+    with pytest.raises(GameFormatError) as excinfo:
+        parse_game(text)
+    assert str(excinfo.value) == message
+
+
 def _worths(n: int) -> dict:
     """Seeded worths of an n-player game by canonical key, as file tokens."""
     rng = random.Random(n)

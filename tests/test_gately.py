@@ -38,6 +38,8 @@ def test_propensity_examples(ex1, ex2):
 
 
 def test_propensity_domain_errors(ex2):
+    with pytest.raises(GameError, match="allocation has 2 entries for a 3-player game"):
+        propensity_to_disrupt(ex2, (4, 5), 1)
     with pytest.raises(NotEfficientError):
         propensity_to_disrupt(ex2, (3, 4, 5), 1)
     with pytest.raises(AtLowerBoundError):

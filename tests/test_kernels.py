@@ -53,7 +53,13 @@ from tugame.gately import GatelyStatus
 from tugame.oracle import recompute_by_definition
 from tugame.tau import TauStatus
 
-from conftest import assert_gately_gate, assert_tau_agrees
+from conftest import (
+    assert_gately_gate,
+    assert_tau_agrees,
+    induced_subgraph_table,
+    primes_below,
+    tie_heavy_table,
+)
 
 SIZES = (5, 6, 7, 8)
 BIG = 10**6
@@ -498,13 +504,6 @@ def test_thirds_below_the_rounded_view(n, full_scans):
     assert rounded >= (75 if n > 2 else 30)
 
 
-def _tie_heavy_table(n):
-    """v(S) = |S| / 3 + w(|S & {1, 2, 3}|) with w = 0, 0, 1, 3/2: superadditive
-    but not convex, and almost every pair holds with equality."""
-    extra = (0, 0, 1, Fraction(3, 2))
-    return [Fraction(mask.bit_count(), 3) + extra[(mask & 0b111).bit_count()] for mask in range(1 << n)]
-
-
 @pytest.mark.parametrize("family", ["convex", "not convex", "tie-heavy", "near misses", "coprime"])
 @pytest.mark.parametrize("n", (9, 10, 11))
 def test_nine_to_eleven_players_match_the_definitions(n, family):
@@ -522,13 +521,13 @@ def test_nine_to_eleven_players_match_the_definitions(n, family):
     if family == "convex":
         tables, superadditive = [_convex_table(n, weights, curvature)], [True]
     elif family == "tie-heavy":
-        tables, superadditive = [_tie_heavy_table(n)], [True]
+        tables, superadditive = [tie_heavy_table(n)], [True]
     elif family == "near misses":
         # one worth one step (1/6 on the grid of thirds and halves) off a
         # tie: {4, 5} is additive, so either move breaks a pair
         tables = []
         for move in (Fraction(1, 6), Fraction(-1, 6)):
-            table = _tie_heavy_table(n)
+            table = tie_heavy_table(n)
             table[0b11000] += move
             tables.append(table)
         table = _convex_table(n, weights, curvature)
@@ -662,16 +661,6 @@ def test_sixteen_players_within_budget():
     assert result.point == tuple(alpha * m + (1 - alpha) * big for m, big in zip(rights, upper))
 
 
-def _primes_below(limit: int, count: int) -> list:
-    primes = []
-    candidate = limit
-    while len(primes) < count:
-        candidate -= 1
-        if all(candidate % d for d in range(2, int(candidate**0.5) + 1)):
-            primes.append(candidate)
-    return primes
-
-
 @pytest.mark.parametrize("family", ["additive", "convex", "convex over 2**64"])
 def test_superadditive_sixteen_player_games_within_budget(family):
     """classify and gately_point each take < 2 s at n = 16 on the
@@ -683,7 +672,7 @@ def test_superadditive_sixteen_player_games_within_budget(family):
     n = 16
     if family == "additive":
         rng = random.Random(1616)
-        singles = [Fraction(rng.randint(-q, q), q) for q in _primes_below(BIG, n)]
+        singles = [Fraction(rng.randint(-q, q), q) for q in primes_below(BIG, n)]
         game = _game(n, additive_table(singles).__getitem__)
         flags = (False, True, True, True, True, True)
         expected = (GatelyStatus.INESSENTIAL_BOUNDARY, tuple(singles))
@@ -718,25 +707,15 @@ def row_one():
     of the additive family, whose denominators are the 16 primes below
     10**6. Returns (table, a)."""
     rng = random.Random(1616)
-    weights = [Fraction(rng.randint(-q, q), q) for q in _primes_below(BIG, 16)]
+    weights = [Fraction(rng.randint(-q, q), q) for q in primes_below(BIG, 16)]
     table = [Fraction(m.bit_count() ** 2, 3) + a for m, a in enumerate(additive_table(weights))]
     return tuple(table), weights
 
 
 @pytest.fixture(scope="module")
 def row_five():
-    """ROADMAP row 5 at n = 16, an induced-subgraph game: v(S) = |S| plus
-    1/p_ij over the pairs i < j inside S, for 120 distinct primes p_ij
-    between 10**6 and 2 * 10**6. Each worth is the worth of its mask
-    without the top player t, plus 1, plus t's edge weights to the rest:
-    coprime denominators, so no sum needs a gcd to reduce."""
-    n = 16
-    primes = iter(_primes_below(2 * BIG, n * (n - 1) // 2))
-    table = [Fraction(0)]
-    for t in range(n):
-        edges = additive_table([Fraction(1, next(primes)) for _ in range(t)])
-        table += [v + e + 1 for v, e in zip(table, edges)]
-    return tuple(table)
+    """ROADMAP row 5 at n = 16, the induced-subgraph game over 120 primes."""
+    return tuple(induced_subgraph_table(16))
 
 
 CONVEX_FLAGS = tugame.properties.GameClassification(True, False, True, True, False, True)
@@ -784,12 +763,12 @@ def test_strategic_equivalence_across_the_cut_off(family):
     n = 12
     rng = random.Random(f"strategic equivalence:{family}")
     if family == "small denominators":
-        game = _game(n, _tie_heavy_table(n).__getitem__)
+        game = _game(n, tie_heavy_table(n).__getitem__)
     else:
         full = (1 << n) - 1
         game = _game(n, lambda mask: _big_fraction(rng) + (2 * n if mask == full else 0))
     scale = Fraction(rng.randint(1, 99), rng.randint(1, 99))
-    shift = [Fraction(rng.randint(-q, q), q) for q in _primes_below(BIG, n)]
+    shift = [Fraction(rng.randint(-q, q), q) for q in primes_below(BIG, n)]
     moved = scale_shift(game, scale, shift)
     assert lcm(*(v.denominator for v in moved.table)) > TWO64
     assert moved._view()[2] == game._view()[2] == (family == "small denominators")

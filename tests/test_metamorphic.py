@@ -4,7 +4,10 @@ For a permutation p of the players, the game w(p(S)) = v(S) must have
 gately_point, tau_value, minimal_rights and aca_allocation equal to those
 of v with entry i moved to position p(i), and the same statuses and
 scalars. Each relabelled game is also recomputed by definition, so the
-bitmask kernels are checked on the relabelled tables as well.
+bitmask kernels are checked on the relabelled tables as well. At n = 12,
+past the reach of the definitions, reversing the players moves each one
+across the switch of `bit_slices` from strided slices (bits 0-5) to
+blocks (bits 6-11), on both kinds of integer view.
 """
 
 import random
@@ -29,7 +32,10 @@ from tugame import (
     tau_value,
     utopia_payoffs,
 )
+from tugame.game import additive_table
 from tugame.oracle import GAME_CLASSES
+
+from conftest import induced_subgraph_table, primes_below, tie_heavy_table
 
 
 def _relabel(game, perm):
@@ -160,3 +166,51 @@ def test_relabelling_covers_unique_solutions():
     assert gately_point(game).status is GatelyStatus.UNIQUE_IMPUTATION
     assert tau_value(game).status is TauStatus.UNIQUE
     assert aca_allocation(next(_cost_games(8))).status is AcaStatus.ALLOCATED
+
+
+def _twelve_player_table(family: str) -> list:
+    n = 12
+    rng = random.Random(f"relabel twelve:{family}")
+    if family == "tie-heavy":
+        return tie_heavy_table(n)
+    if family == "induced subgraph":
+        return induced_subgraph_table(n)
+    if family == "convex plus coprime additive":
+        weights = [Fraction(rng.randint(-q, q), q) for q in primes_below(10**6, n)]
+        return [Fraction(m.bit_count() ** 2, 3) + a for m, a in enumerate(additive_table(weights))]
+    # worths in [-1, 1] over denominators up to 10**6, and an essential grand coalition
+    table = [Fraction(0)]
+    for _ in range(1, 1 << n):
+        q = rng.randint(2, 10**6)
+        table.append(Fraction(rng.randint(-q, q), q))
+    table[-1] += 2 * n
+    return table
+
+
+# family: (exact view, superadditive)
+TWELVE_PLAYER_FAMILIES = {
+    "tie-heavy": (True, True),
+    "induced subgraph": (False, True),
+    "convex plus coprime additive": (True, True),
+    "random worths": (False, False),
+}
+
+
+@pytest.mark.parametrize("family", TWELVE_PLAYER_FAMILIES)
+def test_reversing_twelve_players_moves_every_solution(family):
+    n = 12
+    game = TUGame._from_table(n, tuple(_twelve_player_table(family)))
+    flags = classify(game)
+    assert (game._view()[2], flags.superadditive) == TWELVE_PLAYER_FAMILIES[family]
+    perm = tuple(range(n - 1, -1, -1))
+    moved = _relabel(game, perm)
+    assert moved._view()[2] == game._view()[2]
+    assert classify(moved) == flags
+    assert minimal_rights(moved) == _moved(minimal_rights(game), perm)
+    assert utopia_payoffs(moved) == _moved(utopia_payoffs(game), perm)
+    tau, moved_tau = tau_value(game), tau_value(moved)
+    assert (moved_tau.status, moved_tau.alpha) == (tau.status, tau.alpha)
+    assert moved_tau.point == _moved(tau.point, perm)
+    gately, moved_gately = gately_point(game), gately_point(moved)
+    assert (moved_gately.status, moved_gately.d_star) == (gately.status, gately.d_star)
+    assert moved_gately.point == _moved(gately.point, perm)

@@ -1,4 +1,5 @@
 import hashlib
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from tugame import (
     serialize_game,
     utopia_payoffs,
 )
-from tugame.oracle import GAME_CLASSES
+from tugame.oracle import GAME_CLASSES, GRID_RESOLUTION_LIMIT
 
 
 def test_grid_matches_closed_form_on_fixture(ex2):
@@ -175,3 +176,24 @@ def test_weakly_constant_sum_games_hit_the_degenerate_gate():
             result = gately_point(game)
             assert result.status is GatelyStatus.EQUAL_PROPENSITY_MINUS_ONE
             assert result.d_star == -1
+
+
+def test_cost_generator_refuses_five_players():
+    with pytest.raises(GameError, match="generator supports 2..4 players, got 5"):
+        generate_cost_game(0, 5)
+
+
+@pytest.mark.parametrize("resolution", [GRID_RESOLUTION_LIMIT + 1, 10**12])
+def test_grid_resolution_over_the_limit_is_refused_at_once(ex2, resolution):
+    started = time.perf_counter()
+    with pytest.raises(GameError, match=f"resolution must be at most {GRID_RESOLUTION_LIMIT}"):
+        grid_minmax_propensity(ex2, resolution)
+    assert time.perf_counter() - started < 0.1
+
+
+def test_grid_runs_at_the_resolution_limit():
+    game = TUGame(2, {(1,): 0, (2,): 0, (1, 2): 1})
+    report = grid_minmax_propensity(game, GRID_RESOLUTION_LIMIT)
+    # the symmetric game's best point is the midpoint, which lies on the grid
+    assert report.best_point == (Fraction(1, 2), Fraction(1, 2))
+    assert report.resolution == GRID_RESOLUTION_LIMIT
