@@ -14,7 +14,7 @@ from itertools import compress, repeat
 from operator import ge, sub
 
 from .errors import PlayerNotInCoalitionError
-from .game import TUGame, additive_table, as_mask, bit_slices, coalition_key, is_player
+from .game import TUGame, additive_table, as_mask, bit_slices, coalition_key, is_player, quoted
 
 
 def utopia_payoffs(game: TUGame) -> tuple[Fraction, ...]:
@@ -45,7 +45,7 @@ def remainder(game: TUGame, coalition, player: int) -> Fraction:
     mask = as_mask(coalition, game.n)
     if not is_player(player, game.n) or not mask & (1 << (player - 1)):
         raise PlayerNotInCoalitionError(
-            f"player {player} is not in coalition {{{coalition_key(mask)}}}"
+            f"player {quoted(player)} is not in coalition {{{coalition_key(mask)}}}"
         )
     payoffs = utopia_payoffs(game)
     others = sum(

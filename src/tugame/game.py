@@ -5,8 +5,8 @@ are handled as bitmasks: bit i-1 set means player i is a member, so masks
 run from 1 to 2**n - 1 and the grand coalition is the all-ones mask. The
 empty coalition is representable and always worth 0. Both ways in, the
 game constructor and `gamefile.parse_game`, fill and validate the table
-through one builder, `build_table`, which places every entry in C-level
-passes when all keys are int masks or all are canonical key strings.
+through one builder, `build_table`, which places the worths in one pass
+when the keys are the int masks or the canonical keys in mask order.
 
 A game stores, each built on first use, its minimal rights
 (`bounds.minimal_rights`) and one integer view (`_view`) of its
@@ -35,7 +35,7 @@ from functools import cache, partial
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, attrgetter, floordiv, lshift, mul, rshift, sub
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from .errors import (
     BadCoalitionKeyError,
@@ -123,6 +123,15 @@ def exact_text(value: Fraction) -> str:
         raise DigitLimitError() from None
 
 
+def quoted(value, convert=str) -> str:
+    """`convert(value)` for an error message; an int too long for Python to
+    write as text is named by its sign and the digit limit instead."""
+    try:
+        return convert(value)
+    except ValueError:
+        return f"{'-' * (value < 0)}<int of more than {sys.get_int_max_str_digits()} digits>"
+
+
 def as_mask(coalition, n: int) -> int:
     """Normalize a coalition given as a mask, an index iterable, or a key
     string like "1,3" into a validated bitmask for an n-player game. A bool,
@@ -130,7 +139,7 @@ def as_mask(coalition, n: int) -> int:
     if isinstance(coalition, int) and not isinstance(coalition, bool):
         if coalition < 0 or coalition >= (1 << n):
             raise PlayerOutOfRangeError(
-                f"mask {coalition} names players outside 1..{n}"
+                f"mask {quoted(coalition)} names players outside 1..{n}"
             )
         return coalition
     if isinstance(coalition, str):
@@ -145,7 +154,7 @@ def as_mask(coalition, n: int) -> int:
             raise PlayerOutOfRangeError(f"invalid player index {player!r}")
         if player < 1 or player > n:
             raise PlayerOutOfRangeError(
-                f"player {player} outside 1..{n}"
+                f"player {quoted(player)} outside 1..{n}"
             )
         mask |= 1 << (player - 1)
     return mask
@@ -231,10 +240,17 @@ def mask_from_key(key: str, n: int) -> int:
         return 0
     if not _KEY_PATTERN.fullmatch(key):
         raise BadCoalitionKeyError(key)
-    players = [int(p) for p in key.split(",")]
-    if any(b <= a for a, b in zip(players, players[1:])):
+    # With no leading zeros, numbers order as their (length, text) pairs do;
+    # one with more digits than n is refused unconverted, as past the
+    # int-from-text digit limit it could not be converted at all.
+    parts = [(len(p), p) for p in key.split(",")]
+    if any(b <= a for a, b in zip(parts, parts[1:])):
         raise BadCoalitionKeyError(key)
-    return as_mask(players, n)
+    players = [int(p) for size, p in parts if size <= len(str(n))]
+    mask = as_mask(players, n)
+    if len(players) < len(parts):
+        raise PlayerOutOfRangeError(f"player {parts[len(players)][1]} outside 1..{n}")
+    return mask
 
 
 def nonempty_coalitions(n: int) -> Iterator[int]:
@@ -245,34 +261,12 @@ def nonempty_coalitions(n: int) -> Iterator[int]:
 def check_player_count(n) -> None:
     """Raise PlayerCountError unless n is an int in 1..MAX_PLAYERS."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise PlayerCountError(f"player count must be an integer >= 1, got {n!r}")
+        raise PlayerCountError(f"player count must be an integer >= 1, got {quoted(n, repr)}")
     if n > MAX_PLAYERS:
         raise PlayerCountError(
-            f"player count {n} exceeds the supported maximum of {MAX_PLAYERS} "
+            f"player count {quoted(n)} exceeds the supported maximum of {MAX_PLAYERS} "
             f"(the table needs 2**n - 1 entries)"
         )
-
-
-def _bulk_masks(n: int, values: Mapping) -> Sequence | None:
-    """The masks of `values`' keys in entry order, when they number 2**n - 1
-    and all are int masks in 1..2**n - 1 (exactly int: 1.0 and True hash
-    like 1) or all are canonical nonempty key strings; None otherwise.
-    Canonical keys already in mask order give `range(1, 2**n)`."""
-    size = 1 << n
-    if len(values) != size - 1:
-        return None
-    keys = tuple(values)
-    kinds = set(map(type, keys))
-    if kinds == {int}:
-        return keys if min(keys) >= 1 and max(keys) < size else None
-    if kinds == {str}:
-        canonical = coalition_keys(n)[1:]
-        if keys == canonical:
-            return range(1, size)
-        index = dict(zip(canonical, range(1, size)))
-        masks = list(map(index.get, keys))
-        return masks if None not in masks else None
-    return None
 
 
 def build_table(n: int, values: Mapping, convert) -> tuple[Fraction, ...]:
@@ -282,25 +276,25 @@ def build_table(n: int, values: Mapping, convert) -> tuple[Fraction, ...]:
     `convert(values.values())` gives the Fractions of the worths in entry
     order and raises only on reaching the first it refuses: a lazy map, or
     a list that one bulk pass built without fault, as `gamefile` does for
-    file tokens. When `_bulk_masks` places every key, the keys, being
-    distinct, cover every nonempty coalition once and none is at fault, so
-    the first worth refused is the first fault. Otherwise the entries are
-    walked one at a time, key then worth, to name the first fault: a string
-    key is looked up among the canonical keys (indexed at the first string
-    key), and any other key, or a string that misses them, goes through
-    `as_mask`, which says what is wrong with it. The empty coalition may
-    appear only with worth 0, and no coalition twice. Every nonempty
-    coalition must appear.
+    file tokens. When the keys are the canonical key strings or the int
+    masks (exactly int: 1.0 and True equal 1) of every nonempty coalition
+    in mask order, none is at fault, so the first worth refused is the
+    first fault. Otherwise the entries are walked one at a time, key then
+    worth, to name the first fault: a string key is looked up among the
+    canonical keys (indexed at the first string key), and any other key,
+    or a string that misses them, goes through `as_mask`, which says what
+    is wrong with it. The empty coalition may appear only with worth 0, and
+    no coalition twice. Every nonempty coalition must appear.
     """
     check_player_count(n)
-    masks = _bulk_masks(n, values)
     worths = convert(values.values())
-    if masks is not None:
-        if type(masks) is range:
-            return (ZERO, *worths)
-        table = [ZERO] * (1 << n)
-        list(map(table.__setitem__, masks, worths))
-        return tuple(table)
+    keys = tuple(values)
+    kinds = set(map(type, keys))
+    if (
+        kinds == {str} and keys == coalition_keys(n)[1:]
+        or kinds == {int} and keys == tuple(range(1, 1 << n))
+    ):
+        return (ZERO, *worths)
     worths = iter(worths)
     index = None
     table: list[Fraction | None] = [None] * (1 << n)

@@ -39,7 +39,7 @@ from .errors import (
     GameError,
     NotEfficientError,
 )
-from .game import TUGame, exact_text, is_player, to_fraction
+from .game import TUGame, exact_text, is_player, quoted, to_fraction
 from .properties import essential_surplus, is_essential, is_inessential
 
 
@@ -85,7 +85,7 @@ def propensity_to_disrupt(
             f"allocation has {len(x)} entries for a {game.n}-player game"
         )
     if not is_player(player, game.n):
-        raise GameError(f"player {player} outside 1..{game.n}")
+        raise GameError(f"player {quoted(player)} outside 1..{game.n}")
     total = sum(x, Fraction(0))
     if total != game.grand_value:
         raise NotEfficientError(

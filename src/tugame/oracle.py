@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from .bounds import utopia_payoffs
 from .errors import GameError, GenerationFailedError, TooManyPlayersError
-from .game import CostGame, TUGame
+from .game import CostGame, TUGame, quoted
 from .properties import (
     GameClassification,
     essential_surplus,
@@ -93,7 +93,7 @@ def grid_minmax_propensity(game: TUGame, resolution: int) -> GridSearchReport:
         )
     if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < n:
         raise GameError(
-            f"resolution must be an integer >= n = {n}, got {resolution!r}"
+            f"resolution must be an integer >= n = {n}, got {quoted(resolution, repr)}"
         )
     if resolution > GRID_RESOLUTION_LIMIT:
         # the value is not quoted: an int past the int-to-text limit has no text
@@ -409,9 +409,9 @@ def generate_game(seed: int, n: int, game_class: str = "arbitrary") -> TUGame:
     on rejection.
     """
     if game_class not in GAME_CLASSES:
-        raise GameError(f"unknown game class {game_class!r}; pick from {GAME_CLASSES}")
+        raise GameError(f"unknown game class {quoted(game_class, repr)}; pick from {GAME_CLASSES}")
     if n < 2 or n > 4:
-        raise GameError(f"generator supports 2..4 players, got {n}")
+        raise GameError(f"generator supports 2..4 players, got {quoted(n)}")
     rng = random.Random(f"tugame:{game_class}:{n}:{seed}")
     sampler = _SAMPLERS[game_class]
     for _ in range(_RETRY_CAP):
@@ -433,7 +433,7 @@ def generate_cost_game(seed: int, n: int) -> CostGame:
     cost game is subadditive by construction.
     """
     if n < 2 or n > 4:
-        raise GameError(f"generator supports 2..4 players, got {n}")
+        raise GameError(f"generator supports 2..4 players, got {quoted(n)}")
     rng = random.Random(f"tugame:cost:{n}:{seed}")
     savings = zero_normalize(_sample_superadditive(rng, n))
     singles = tuple(_rand_fraction(rng, 6, 18) for _ in range(n))

@@ -198,6 +198,15 @@ def test_overlong_integer_literal_is_exit_2(tmp_path):
     assert f"5001 digits exceeds the limit of {limit} digits" in err
 
 
+def test_overlong_coalition_key_is_exit_2(tmp_path):
+    bad = tmp_path / "long_key.game"
+    key = "1" * 5000
+    bad.write_text('{"kind": "tu", "n": 2, "values": {"1": 0, "2": 0, "%s": 1}}' % key)
+    code, out, err = run_cli("props", str(bad))
+    assert code == 2
+    assert f"player {key} outside 1..2" in err
+
+
 def test_deeply_nested_document_is_exit_2(tmp_path):
     bad = tmp_path / "deep.game"
     bad.write_text("[" * 100000)

@@ -2,7 +2,9 @@
 
 Valid files of up to four players are damaged by byte flips, truncations
 and insertions. Every result must either parse or raise GameError, and the
-CLI must answer it with exit 0, 2 or 3, never 4 (internal error).
+CLI must answer it with exit 0, 2 or 3, never 4 (internal error). A second
+seeded pass inserts runs of digits longer than Python's int-from-text limit
+(4300 by default), which the short insertions cannot reach.
 """
 
 import random
@@ -13,6 +15,7 @@ from tugame.oracle import GAME_CLASSES
 from conftest import run_cli
 
 MUTATIONS = 2000
+LONG_RUNS = 300
 # bytes a mutation writes: JSON structure, digits, signs, number forms,
 # and a few that are not valid UTF-8 on their own
 ALPHABET = b'{}[]",:0123456789-+./eE \\ntfu\x00\xff\xc3'
@@ -59,6 +62,18 @@ def _mutants():
     return [_mutate(rng, rng.choice(seeds)) for _ in range(MUTATIONS)]
 
 
+def _long_run_mutants():
+    rng = random.Random(4301)
+    seeds = _seed_files()
+    mutants = []
+    for _ in range(LONG_RUNS):
+        data = rng.choice(seeds)
+        at = rng.randrange(len(data) + 1)
+        digits = "".join(rng.choices("0123456789", k=rng.randint(4301, 5000))).encode()
+        mutants.append(data[:at] + digits + data[at:])
+    return mutants
+
+
 def test_parse_game_accepts_or_raises_game_error():
     parsed = 0
     for data in _mutants():
@@ -81,3 +96,20 @@ def test_cli_never_exits_internal_error(tmp_path):
         assert code != 4, (data, argv, err)
         codes.add(code)
     assert {0, 2} <= codes
+
+
+def test_long_digit_runs_parse_or_raise_game_error():
+    for data in _long_run_mutants():
+        try:
+            parse_game(data.decode())
+        except GameError:
+            pass
+
+
+def test_long_digit_runs_never_exit_internal_error(tmp_path):
+    path = tmp_path / "mutant.game"
+    for index, data in enumerate(_long_run_mutants()):
+        path.write_bytes(data)
+        argv = COMMANDS[index % len(COMMANDS)]
+        code, out, err = run_cli(argv[0], str(path), *argv[1:])
+        assert code != 4, (argv, err[:200])

@@ -10,17 +10,24 @@ from tugame import (
     CostGame,
     DigitLimitError,
     DuplicateCoalitionError,
+    GameError,
     MissingCoalitionError,
     PlayerCountError,
+    PlayerNotInCoalitionError,
     PlayerOutOfRangeError,
     TUGame,
     as_mask,
     coalition_key,
     coalition_members,
+    generate_game,
+    grid_minmax_propensity,
     mask_from_key,
     nonempty_coalitions,
+    propensity_to_disrupt,
+    remainder,
     to_fraction,
 )
+from tugame.game import check_player_count
 
 
 def test_example_game_constructs_and_reads_back(ex1):
@@ -254,3 +261,29 @@ def test_a_bool_in_an_index_iterable_is_an_invalid_player():
 
 def test_nonempty_coalitions_run_from_one_to_the_grand_mask():
     assert list(nonempty_coalitions(3)) == [1, 2, 3, 4, 5, 6, 7]
+
+
+_HUGE = 10**5000
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda g: check_player_count(_HUGE), PlayerCountError, "player count <int of more"),
+        (lambda g: check_player_count(-_HUGE), PlayerCountError, "got -<int of more"),
+        (lambda g: as_mask(_HUGE, 3), PlayerOutOfRangeError, "mask <int of more"),
+        (lambda g: as_mask([_HUGE], 3), PlayerOutOfRangeError, "player <int of more"),
+        (lambda g: g.value(_HUGE), PlayerOutOfRangeError, "mask <int of more"),
+        (lambda g: remainder(g, 3, _HUGE), PlayerNotInCoalitionError, "player <int of more"),
+        (lambda g: propensity_to_disrupt(g, (4, 5, 5), _HUGE), GameError, "player <int of more"),
+        (lambda g: grid_minmax_propensity(g, -_HUGE), GameError, "got -<int of more"),
+        (lambda g: generate_game(0, _HUGE), GameError, "got <int of more"),
+        (lambda g: generate_game(0, 3, _HUGE), GameError, "game class <int of more"),
+    ],
+)
+def test_an_int_past_the_digit_limit_is_named_by_the_limit_in_messages(call, error, message, ex1):
+    with pytest.raises(error) as info:
+        call(ex1)
+    assert type(info.value) is error
+    limit = sys.get_int_max_str_digits()
+    assert f"{message} than {limit} digits>" in str(info.value)

@@ -170,10 +170,13 @@ def test_constructor_and_parser_build_the_same_table(cls, n):
     worths = _worths(n)
     parsed = parse_game(json.dumps({"kind": cls.kind, "n": n, "values": worths}))
     by_mask = dict(zip(range(1, 1 << n), worths.values()))
-    # int masks and canonical strings, in any order, take the bulk pass;
-    # tuples and a mix of key forms take the per-entry walk
+    # int masks and canonical strings in mask order take the bulk pass;
+    # either out of order, tuples and a mix of key forms take the walk
+    shuffled = list(worths.items())
+    random.Random(n).shuffle(shuffled)
     for values in (
         worths,
+        dict(shuffled),
         {coalition_members(mask): worth for mask, worth in by_mask.items()},
         by_mask,
         dict(reversed(by_mask.items())),
@@ -216,6 +219,8 @@ _LONG = "9" * 4000 + "." + "9" * 4000
         (_BASE + [("3", 1)], PlayerOutOfRangeError, "player 3 outside 1..2"),
         (_BASE + [("2,1", 1)], BadCoalitionKeyError, "bad coalition key '2,1'"),
         (_BASE + [("01", 1)], BadCoalitionKeyError, "bad coalition key '01'"),
+        # a player number past the int-from-text digit limit is not converted
+        (_BASE + [("1" * 5000, 1)], PlayerOutOfRangeError, f"player {'1' * 5000} outside 1..2"),
         (_BASE + [("", "-1/3")], GameError, "the empty coalition must be worth 0, got -1/3"),
         (_BASE + [("", _LONG)], DigitLimitError, "more than"),
         (_BASE + [("1", 1)], DuplicateCoalitionError, "coalition {1} supplied more than once"),
