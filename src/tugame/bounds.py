@@ -19,10 +19,10 @@ from .game import TUGame, additive_table, as_mask, bit_slices, coalition_key, is
 
 def utopia_payoffs(game: TUGame) -> tuple[Fraction, ...]:
     """M_i = v(N) - v(N minus i) for each player."""
-    table = game.table
+    worth = game._worth
     full = game.grand_mask
-    grand = table[full]
-    return tuple(grand - table[full ^ (1 << i)] for i in range(game.n))
+    grand = worth(full)
+    return tuple(grand - worth(full ^ (1 << i)) for i in range(game.n))
 
 
 def efficient_point(
@@ -52,7 +52,7 @@ def remainder(game: TUGame, coalition, player: int) -> Fraction:
         (payoffs[i] for i in range(game.n) if mask & (1 << i) and i != player - 1),
         Fraction(0),
     )
-    return game.table[mask] - others
+    return game._worth(mask) - others
 
 
 def minimal_rights(game: TUGame) -> tuple[Fraction, ...]:
@@ -90,7 +90,7 @@ def minimal_rights(game: TUGame) -> tuple[Fraction, ...]:
         tops = list(map(max, map(rest.__getitem__, slices)))
         best = max(tops)
         if exact:
-            found.append(game.table[1 << i] + Fraction(upper[i] + best, scale))
+            found.append(game._worth(1 << i) + Fraction(upper[i] + best, scale))
         else:
             floor = best - 4 * n
             found.append(max(

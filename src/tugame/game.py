@@ -8,6 +8,15 @@ game constructor and `gamefile.parse_game`, fill and validate the table
 through one builder, `build_table`, which places the worths in one pass
 when the keys are the int masks or the canonical keys in mask order.
 
+A game holds its worths in one of two forms and builds the other on
+first use: a tuple of Fractions (the constructor, the oracle's samplers),
+or two int lists of numerators and denominators in lowest terms (a file
+read in bulk, and every affine map of `transforms.affine_table`). The
+kernels, the game-file writer, equality and hashing read the ints; the
+few reads of single worths (`value`, `grand_value`, `singleton_values`,
+the exact decisions of the kernels) build one Fraction each. So a file
+goes through the CLI without a `Fraction` per coalition.
+
 A game stores, each built on first use, its minimal rights
 (`bounds.minimal_rights`) and one integer view (`_view`) of its
 zero-normalized game g(S) = v(S) - sum of v_i over S, which the kernels
@@ -19,10 +28,10 @@ large ones sit only in an additive part), and else rounded: scale 2**64
 and each w(S) within 1 of g(S) * 2**64, so that a check combining k
 entries is off by less than k.
 
-All worths are `fractions.Fraction` values. Binary floats are refused on
-input: the degeneracy checks downstream hinge on knife-edge equalities that
-rounding would corrupt, so decimal text must be converted from its digit
-string (which `Fraction` does exactly).
+Every worth a game hands out is a `fractions.Fraction`. Binary floats are
+refused on input: the degeneracy checks downstream hinge on knife-edge
+equalities that rounding would corrupt, so decimal text must be converted
+from its digit string (which `Fraction` does exactly).
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache, partial
-from itertools import repeat
+from itertools import islice, repeat
 from math import gcd, lcm
 from operator import add, attrgetter, floordiv, lshift, mul, rshift, sub
 from typing import Iterator, Mapping
@@ -269,32 +278,42 @@ def check_player_count(n) -> None:
         )
 
 
-def build_table(n: int, values: Mapping, convert) -> tuple[Fraction, ...]:
-    """The mask-indexed worth table of an n-player game, validated.
+def build_table(n: int, values: Mapping, convert) -> tuple:
+    """The mask-indexed worth table of an n-player game, validated, as the
+    pair (table, ints) a game stores: its tuple of Fractions, or its int
+    lists (numerators, denominators) in lowest terms; the other is None.
 
     The one builder behind the game constructor and `parse_game`.
-    `convert(values.values())` gives the Fractions of the worths in entry
-    order and raises only on reaching the first it refuses: a lazy map, or
-    a list that one bulk pass built without fault, as `gamefile` does for
-    file tokens. When the keys are the canonical key strings or the int
-    masks (exactly int: 1.0 and True equal 1) of every nonempty coalition
-    in mask order, none is at fault, so the first worth refused is the
-    first fault. Otherwise the entries are walked one at a time, key then
-    worth, to name the first fault: a string key is looked up among the
-    canonical keys (indexed at the first string key), and any other key,
-    or a string that misses them, goes through `as_mask`, which says what
-    is wrong with it. The empty coalition may appear only with worth 0, and
-    no coalition twice. Every nonempty coalition must appear.
+    `convert(values.values())` gives the worths in entry order and raises
+    only on reaching the first it refuses: a lazy map of Fractions, or the
+    int lists of a bulk pass that ran without fault, entry 0 for the empty
+    coalition first, as `gamefile` builds for file tokens. When the keys
+    are the canonical key strings or the int masks (exactly int: 1.0 and
+    True equal 1) of every nonempty coalition in mask order, none is at
+    fault, so the first worth refused is the first fault, and a bulk
+    pass's ints are kept as they are. Otherwise the entries are walked one
+    at a time, key then worth, to name the first fault: a string key is
+    looked up among the canonical keys (indexed at the first string key),
+    and any other key, or a string that misses them, goes through
+    `as_mask`, which says what is wrong with it. The empty coalition may
+    appear only with worth 0, and no coalition twice. Every nonempty
+    coalition must appear.
     """
     check_player_count(n)
-    worths = convert(values.values())
     keys = tuple(values)
     kinds = set(map(type, keys))
-    if (
+    in_order = (
         kinds == {str} and keys == coalition_keys(n)[1:]
         or kinds == {int} and keys == tuple(range(1, 1 << n))
-    ):
-        return (ZERO, *worths)
+    )
+    del keys  # not held while the worths are converted
+    worths = convert(values.values())
+    if type(worths) is tuple:  # a bulk pass's (numerators, denominators)
+        if in_order:
+            return None, worths
+        worths = islice(map(Fraction, *worths), 1, None)
+    elif in_order:
+        return (ZERO, *worths), None
     worths = iter(worths)
     index = None
     table: list[Fraction | None] = [None] * (1 << n)
@@ -319,7 +338,7 @@ def build_table(n: int, values: Mapping, convert) -> tuple[Fraction, ...]:
     for mask, worth in enumerate(table):
         if worth is None:
             raise MissingCoalitionError(coalition_key(mask))
-    return tuple(table)
+    return tuple(table), None
 
 
 class _CharacteristicGame:
@@ -327,44 +346,69 @@ class _CharacteristicGame:
 
     kind = ""
 
-    # `_scaled` holds the integer view once `_view` has built it, and
-    # `_rights` the minimal rights once `bounds.minimal_rights` has; both
-    # are derived from `_table`, so equality, hashing and repr ignore them.
-    __slots__ = ("_n", "_table", "_scaled", "_rights")
+    # `_table` (Fractions) or `_ints` (numerators, denominators) is None
+    # until `table` or `_worth_ints` builds it from the other. `_scaled`
+    # holds the integer view once `_view` has built it, and `_rights` the
+    # minimal rights once `bounds.minimal_rights` has; equality and hashing
+    # read only n and the ints.
+    __slots__ = ("_n", "_table", "_ints", "_scaled", "_rights")
 
     def __init__(self, n: int, values: Mapping):
-        self._table = build_table(n, values, partial(map, to_fraction))
+        self._table, self._ints = build_table(n, values, partial(map, to_fraction))
         self._n = n
 
     @classmethod
-    def _from_table(cls, n: int, table: tuple[Fraction, ...]):
-        """Internal constructor for games already in validated table form."""
+    def _from_table(cls, n: int, table=None, ints=None):
+        """Internal constructor for games already in validated table form:
+        the tuple of Fractions, or the int lists in lowest terms."""
         game = object.__new__(cls)
         game._n = n
         game._table = table
+        game._ints = ints
         return game
+
+    def _worth_ints(self) -> tuple[list, list]:
+        """(numerators, denominators), each indexed by mask, in lowest
+        terms; read off the Fractions in two C-level passes if the game
+        holds only those."""
+        if self._ints is None:
+            table = self._table
+            self._ints = (
+                list(map(attrgetter("numerator"), table)),
+                list(map(attrgetter("denominator"), table)),
+            )
+        return self._ints
+
+    def _worth(self, mask: int) -> Fraction:
+        """The worth of one coalition; the reads that take a few entries go
+        through here, so they build no table of Fractions."""
+        if self._table is not None:
+            return self._table[mask]
+        nums, dens = self._ints
+        return Fraction(nums[mask], dens[mask])
 
     def _view(self) -> tuple[int, list, bool]:
         """(scale, w, exact), the integer view of g(S) = v(S) - sum of v_i
-        over S, indexed by mask; built on first use from one C-level read
-        of the table's numerators and one of its denominators.
+        over S, indexed by mask; built on first use from the worths'
+        numerators and denominators.
 
         When the lcm D of the table's denominators is at most 2**64, w is
         v * D minus the subset sums of its singleton entries. Otherwise
         g(S) = t(S) / (q_S * e), for q_S the denominator of v(S) and e the
         lcm of the singleton denominators, and the lcm of g's reduced
-        denominators is the scale. Each lcm pass stops past 2**64. Past it
-        the view is rounded: w = (h - subset sums of h's singleton entries)
-        / 2**6, rounded to nearest, for h(S) = floor(v(S) * 2**70). Those
-        floors put w within 1/2 + (|S| + 1) / 2**6 < 1 of g(S) * 2**64, as
-        |S| <= MAX_PLAYERS.
+        denominators is the scale. Each lcm pass stops past 2**64, and g's
+        is run on the masks of the low n // 2 players first, so a view that
+        is rounded there builds no subset sums over e for the rest. Past
+        2**64 the view is rounded: w = (h - subset sums of h's singleton
+        entries) / 2**6, rounded to nearest, for h(S) = floor(v(S) * 2**70).
+        Those floors put w within 1/2 + (|S| + 1) / 2**6 < 1 of
+        g(S) * 2**64, as |S| <= MAX_PLAYERS.
         """
         try:
             return self._scaled
         except AttributeError:
             pass
-        nums = list(map(attrgetter("numerator"), self._table))
-        dens = list(map(attrgetter("denominator"), self._table))
+        nums, dens = self._worth_ints()
         singles = [1 << i for i in range(self._n)]
         d = _lcm_within(dens)
         if d is not None:
@@ -372,14 +416,19 @@ class _CharacteristicGame:
             view = d, list(map(sub, w, additive_table([w[m] for m in singles]))), True
         else:
             e = lcm(*(dens[m] for m in singles))
-            sums = additive_table([nums[m] * (e // dens[m]) for m in singles])
+            weights = [nums[m] * (e // dens[m]) for m in singles]
 
-            def tops():
+            def tops(sums):
                 return map(sub, map(mul, nums, repeat(e)), map(mul, sums, dens))
 
-            d = _lcm_within(q * e // gcd(t, q * e) for t, q in zip(tops(), dens))
+            def scale(sums):
+                return _lcm_within(q * e // gcd(t, q * e) for t, q in zip(tops(sums), dens))
+
+            if scale(additive_table(weights[: self._n // 2])) is not None:
+                sums = additive_table(weights)
+                d = scale(sums)
             if d is not None:
-                view = d, [t * d // (q * e) for t, q in zip(tops(), dens)], True
+                view = d, [t * d // (q * e) for t, q in zip(tops(sums), dens)], True
             else:
                 h = list(map(floordiv, map(lshift, nums, repeat(_VIEW_BITS + 6)), dens))
                 w = map(sub, h, additive_table([h[m] for m in singles]))
@@ -394,6 +443,8 @@ class _CharacteristicGame:
     @property
     def table(self) -> tuple[Fraction, ...]:
         """Mask-indexed worths, length 2**n, entry 0 is the empty coalition."""
+        if self._table is None:
+            self._table = tuple(map(Fraction, *self._ints))
         return self._table
 
     @property
@@ -402,27 +453,27 @@ class _CharacteristicGame:
 
     @property
     def grand_value(self) -> Fraction:
-        return self._table[-1]
+        return self._worth(self.grand_mask)
 
     def value(self, coalition) -> Fraction:
         """Worth of a coalition given as player indices, a key string, or
         a bitmask. The empty coalition is worth 0."""
-        return self._table[as_mask(coalition, self._n)]
+        return self._worth(as_mask(coalition, self._n))
 
     def singleton_values(self) -> tuple[Fraction, ...]:
-        return tuple(self._table[1 << i] for i in range(self._n))
+        return tuple(self._worth(1 << i) for i in range(self._n))
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self._n == other._n and self._table == other._table
+        return self._n == other._n and self._worth_ints() == other._worth_ints()
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self._n, self._table))
+        return hash((type(self).__name__, self._n, *map(tuple, self._worth_ints())))
 
     def __repr__(self) -> str:
         worths = ", ".join(
-            f"{{{coalition_key(mask)}}}: {exact_text(self._table[mask])}"
+            f"{{{coalition_key(mask)}}}: {exact_text(self._worth(mask))}"
             for mask in range(1, min(1 << self._n, 16))
         )
         if (1 << self._n) > 16:

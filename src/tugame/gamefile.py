@@ -14,8 +14,11 @@ JSON decimal literals, or strings like "29/2" or "14.5"; quoted or bare,
 a number follows one grammar, which has no exponent form. Numeric tokens
 are converted from their digit text, so decimals stay exact: "14.5"
 becomes 29/2, never a binary float. When every worth is a plain p or p/q,
-one pattern pass validates them and one comprehension builds them; any
-other file is converted worth by worth, which names the first bad token.
+one pattern pass validates them and one loop reduces each to lowest terms
+as a (numerator, denominator) pair of ints, which the game keeps as they
+are: no `Fraction` is built. Any other file is converted worth by worth,
+which names the first bad token. The writer takes each worth's text from
+the same two ints.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
+from math import gcd
 
 from .errors import BadNumberError, DigitLimitError, DuplicateCoalitionError, GameFormatError
 from .game import (
@@ -81,18 +85,24 @@ def _file_worth(raw) -> Fraction:
 
 
 def _file_worths(raws):
-    """The exact rationals of file worths: a list, when each reads through
-    `str` as a plain p or p/q (a JSON int, a Fraction from the float hook,
-    or such a string) and the bulk pass raises nothing (no "p/0", no
-    numerator past the digit limit); else a lazy `_file_worth` map, which
-    refuses the first fault with its own message when it reaches it."""
+    """The worths of a file: when each reads through `str` as a plain p or
+    p/q (a JSON int, a Fraction from the float hook, or such a string) and
+    the bulk pass raises nothing (no "p/0", no numerator past the digit
+    limit), the int lists (numerators, denominators) in lowest terms, each
+    entry reduced as it is read, in entry order after the empty
+    coalition's 0/1; else a lazy `_file_worth` map, which refuses the first
+    fault with its own message when it reaches it."""
     try:
-        texts = list(map(str, raws))
-        if all(map(_PLAIN_WORTH.fullmatch, texts)):
-            return [
-                Fraction(int(p), int(q or 1))
-                for p, _, q in map(str.partition, texts, repeat("/"))
-            ]
+        if all(map(_PLAIN_WORTH.fullmatch, map(str, raws))):
+            nums, dens = [0], [1]
+            put_num, put_den = nums.append, dens.append
+            for p, _, q in map(str.partition, map(str, raws), repeat("/")):
+                p, q = int(p), int(q or 1)
+                g = gcd(p, q)  # 0 only for 0/0, which the division refuses
+                put_num(p // g)
+                put_den(q // g)
+            if 0 not in dens:
+                return nums, dens
     except (ValueError, ZeroDivisionError):
         pass
     return map(_file_worth, raws)
@@ -111,6 +121,34 @@ def _pairs_to_dict(pairs):
     return out
 
 
+def _decode(text: str):
+    """The JSON value of game-file text, with exact numbers. It is decoded
+    into plain dicts first, counting their entries: each pair puts one ":"
+    outside strings, so a text with no more ":" than that repeats no key,
+    and no list of every object's pairs is ever held. Any other text, or
+    one that fails, is decoded again with each object's pairs in hand
+    (`_pairs_to_dict`), which names the first repeated key or raises what
+    the text's first fault raises."""
+    hooks = {
+        "parse_float": _exact_number(Fraction),
+        "parse_int": _exact_number(int),
+        "parse_constant": _reject_constant,
+    }
+    entries = []
+
+    def counted(obj):
+        entries.append(len(obj))
+        return obj
+
+    try:
+        doc = json.loads(text, object_hook=counted, **hooks)
+        if text.count(":") == sum(entries):
+            return doc
+    except (ValueError, TypeError, RecursionError):  # raised again below
+        pass
+    return json.loads(text, object_pairs_hook=_pairs_to_dict, **hooks)
+
+
 def parse_game(text: str) -> TUGame | CostGame:
     """Parse game file text into a TUGame or CostGame, exactly.
 
@@ -119,13 +157,7 @@ def parse_game(text: str) -> TUGame | CostGame:
     in the same order, as a constructor call.
     """
     try:
-        doc = json.loads(
-            text,
-            parse_float=_exact_number(Fraction),
-            parse_int=_exact_number(int),
-            parse_constant=_reject_constant,
-            object_pairs_hook=_pairs_to_dict,
-        )
+        doc = _decode(text)
     except json.JSONDecodeError as exc:
         raise GameFormatError(f"not valid game-file text: {exc.msg}", exc.pos) from None
     except RecursionError:
@@ -153,7 +185,7 @@ def parse_game(text: str) -> TUGame | CostGame:
     if not isinstance(raw_values, dict):
         raise GameFormatError('"values" must be an object')
     cls = TUGame if kind == "tu" else CostGame
-    return cls._from_table(n, build_table(n, raw_values, _file_worths))
+    return cls._from_table(n, *build_table(n, raw_values, _file_worths))
 
 
 def dump_json(doc, **options) -> str:
@@ -168,13 +200,14 @@ def dump_json(doc, **options) -> str:
 
 def game_document(game: TUGame | CostGame) -> dict:
     """The game-file object of a game, its keys in increasing mask order.
-    One `map(str, ...)` pass writes every worth as "p/q" or "p"; each "p"
-    then goes back to a JSON integer."""
+    Each worth is written from its numerator and denominator: "p/q", or
+    the JSON integer p when q is 1."""
+    nums, dens = game._worth_ints()
     try:
-        tokens = [t if "/" in t else int(t) for t in map(str, game.table[1:])]
+        tokens = [p if q == 1 else f"{p}/{q}" for p, q in islice(zip(nums, dens), 1, None)]
     except ValueError:
         raise DigitLimitError() from None
-    values = dict(zip(coalition_keys(game.n)[1:], tokens))
+    values = dict(zip(islice(coalition_keys(game.n), 1, None), tokens))
     return {"kind": game.kind, "n": game.n, "values": values}
 
 

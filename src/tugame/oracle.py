@@ -398,6 +398,15 @@ def _in_class(game: TUGame, game_class: str) -> bool:
     return True
 
 
+def _seeded(label: str, n: int, seed) -> random.Random:
+    """The generator for one (label, n, seed), seeded from their text; a
+    seed past the int-to-text digit limit has none and is a GameError."""
+    try:
+        return random.Random(f"tugame:{label}:{n}:{seed}")
+    except ValueError:
+        raise GameError(f"seed {quoted(seed)} is too long to write as text") from None
+
+
 def generate_game(seed: int, n: int, game_class: str = "arbitrary") -> TUGame:
     """Deterministic random TU game of the requested class.
 
@@ -412,7 +421,7 @@ def generate_game(seed: int, n: int, game_class: str = "arbitrary") -> TUGame:
         raise GameError(f"unknown game class {quoted(game_class, repr)}; pick from {GAME_CLASSES}")
     if n < 2 or n > 4:
         raise GameError(f"generator supports 2..4 players, got {quoted(n)}")
-    rng = random.Random(f"tugame:{game_class}:{n}:{seed}")
+    rng = _seeded(game_class, n, seed)
     sampler = _SAMPLERS[game_class]
     for _ in range(_RETRY_CAP):
         game = sampler(rng, n)
@@ -434,7 +443,7 @@ def generate_cost_game(seed: int, n: int) -> CostGame:
     """
     if n < 2 or n > 4:
         raise GameError(f"generator supports 2..4 players, got {quoted(n)}")
-    rng = random.Random(f"tugame:cost:{n}:{seed}")
+    rng = _seeded("cost", n, seed)
     savings = zero_normalize(_sample_superadditive(rng, n))
     singles = tuple(_rand_fraction(rng, 6, 18) for _ in range(n))
-    return CostGame._from_table(n, affine_table(savings.table, Fraction(-1), singles))
+    return CostGame._from_table(n, ints=affine_table(savings, Fraction(-1), singles))

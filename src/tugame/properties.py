@@ -34,8 +34,9 @@ with that player's bit removed. On an exact view every comparison is
 exact. On a rounded one each entry is within 1 of g(S) * 2**64, so a
 check that combines k entries (4 in a convexity check, 3 in a pair, 2
 in weak superadditivity) is trusted only when its margin on w is at
-least k, either way; every closer call is decided from the table's
-Fractions, so each answer stays exact. Floats are never used.
+least k, either way; every closer call is decided from the worths as
+Fractions (`game._worth`, one entry at a time), so each answer stays
+exact. Floats are never used.
 """
 
 from __future__ import annotations
@@ -87,10 +88,9 @@ def is_superadditive(game: TUGame) -> bool:
     _, w, exact = game._view()
     if surplus == 0:
         return exact and not any(w)
-    table = game.table
-    if _is_convex(table, w, game.n, 0 if exact else 4):
+    if _is_convex(game._worth, w, game.n, 0 if exact else 4):
         return True
-    return _pairs_superadditive(table, w, 0 if exact else 3)
+    return _pairs_superadditive(game._worth, w, 0 if exact else 3)
 
 
 def _monotone(vec, m: int, first: int, margin: int, decide) -> bool:
@@ -110,7 +110,7 @@ def _monotone(vec, m: int, first: int, margin: int, decide) -> bool:
     return True
 
 
-def _is_convex(table, w, n: int, margin: int) -> bool:
+def _is_convex(worth, w, n: int, margin: int) -> bool:
     """v(S | i | j) - v(S | j) >= v(S | i) - v(S) for all players i < j and
     every S without them: the marginal worth of i never falls when j joins.
 
@@ -132,14 +132,14 @@ def _is_convex(table, w, n: int, margin: int) -> bool:
 
         def decide(c, j):
             s = ((c >> i) << (i + 1)) | (c & (low - 1))
-            return table[s | low | 2 << j] - table[s | 2 << j] >= table[s | low] - table[s]
+            return worth(s | low | 2 << j) - worth(s | 2 << j) >= worth(s | low) - worth(s)
 
         if not _monotone(gain, n - 1, i, margin, decide):
             return False
     return True
 
 
-def _pairs_superadditive(table, w, margin: int) -> bool:
+def _pairs_superadditive(worth, w, margin: int) -> bool:
     """The full O(3**n) scan of every unordered disjoint nonempty pair:
     w(S | T) - w(S) - w(T) at least `margin` passes, at most -`margin`
     fails, and the Fractions decide in between."""
@@ -152,7 +152,7 @@ def _pairs_superadditive(table, w, margin: int) -> bool:
         t = comp
         while t:
             gap = w[s | t] - ws - w[t]
-            if gap < margin and (gap <= -margin or table[s | t] < table[s] + table[t]):
+            if gap < margin and (gap <= -margin or worth(s | t) < worth(s) + worth(t)):
                 return False
             t = (t - 1) & comp
     return True
@@ -172,10 +172,10 @@ def is_weakly_superadditive(game: TUGame) -> bool:
     On the view this reads g(S | i) >= g(S), as g(i) = 0: g is monotone.
     """
     _, w, exact = game._view()
-    table = game.table
+    worth = game._worth
 
     def decide(s, j):
-        return table[s | 1 << j] >= table[s] + table[1 << j]
+        return worth(s | 1 << j) >= worth(s) + worth(1 << j)
 
     return _monotone(w, game.n, 0, 0 if exact else 2, decide)
 

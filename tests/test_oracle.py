@@ -1,4 +1,5 @@
 import hashlib
+import sys
 import time
 from fractions import Fraction
 
@@ -176,6 +177,16 @@ def test_weakly_constant_sum_games_hit_the_degenerate_gate():
             result = gately_point(game)
             assert result.status is GatelyStatus.EQUAL_PROPENSITY_MINUS_ONE
             assert result.d_star == -1
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_seed_past_the_digit_limit_is_a_game_error(sign):
+    # such a seed has no text to seed the generator from
+    seed = sign * 10**5000
+    message = f"seed -?<int of more than {sys.get_int_max_str_digits()} digits> is too long"
+    for generate in (lambda: generate_game(seed, 3), lambda: generate_cost_game(seed, 3)):
+        with pytest.raises(GameError, match=message):
+            generate()
 
 
 def test_cost_generator_refuses_five_players():
