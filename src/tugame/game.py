@@ -8,14 +8,16 @@ game constructor and `gamefile.parse_game`, fill and validate the table
 through one builder, `build_table`, which places the worths in one pass
 when the keys are the int masks or the canonical keys in mask order.
 
-A game holds its worths in one of two forms and builds the other on
-first use: a tuple of Fractions (the constructor, the oracle's samplers),
-or two int lists of numerators and denominators in lowest terms (a file
-read in bulk, and every affine map of `transforms.affine_table`). The
-kernels, the game-file writer, equality and hashing read the ints; the
-few reads of single worths (`value`, `grand_value`, `singleton_values`,
-the exact decisions of the kernels) build one Fraction each. So a file
-goes through the CLI without a `Fraction` per coalition.
+A game holds its worths in one of two forms: a tuple of Fractions (the
+constructor, the oracle's samplers), or two int lists of numerators and
+denominators in lowest terms (a file read in bulk, and every affine map
+of `transforms.affine_table`). An int-backed game builds its Fractions on
+first use and keeps them; a Fraction-backed one reads its ints off them
+at each call and keeps none. The kernels, the game-file writer, equality
+and hashing read the ints; the few reads of single worths (`value`,
+`grand_value`, `singleton_values`, the exact decisions of the kernels)
+build one Fraction each. So a file goes through the CLI without a
+`Fraction` per coalition.
 
 A game stores, each built on first use, its minimal rights
 (`bounds.minimal_rights`) and one integer view (`_view`) of its
@@ -346,11 +348,13 @@ class _CharacteristicGame:
 
     kind = ""
 
-    # `_table` (Fractions) or `_ints` (numerators, denominators) is None
-    # until `table` or `_worth_ints` builds it from the other. `_scaled`
-    # holds the integer view once `_view` has built it, and `_rights` the
-    # minimal rights once `bounds.minimal_rights` has; equality and hashing
-    # read only n and the ints.
+    # `_table` holds the Fractions, or is None until `table` builds them
+    # from `_ints`, the (numerators, denominators) of a game built from
+    # ints; a game built from Fractions keeps no ints, and `_worth_ints`
+    # reads them off its table afresh at each call. `_scaled` holds the
+    # integer view once `_view` has built it, and `_rights` the minimal
+    # rights once `bounds.minimal_rights` has; equality and hashing read
+    # only n and the ints.
     __slots__ = ("_n", "_table", "_ints", "_scaled", "_rights")
 
     def __init__(self, n: int, values: Mapping):
@@ -369,15 +373,15 @@ class _CharacteristicGame:
 
     def _worth_ints(self) -> tuple[list, list]:
         """(numerators, denominators), each indexed by mask, in lowest
-        terms; read off the Fractions in two C-level passes if the game
-        holds only those."""
-        if self._ints is None:
-            table = self._table
-            self._ints = (
-                list(map(attrgetter("numerator"), table)),
-                list(map(attrgetter("denominator"), table)),
-            )
-        return self._ints
+        terms; read off the Fractions in two C-level passes, and not kept,
+        if the game holds only those."""
+        if self._ints is not None:
+            return self._ints
+        table = self._table
+        return (
+            list(map(attrgetter("numerator"), table)),
+            list(map(attrgetter("denominator"), table)),
+        )
 
     def _worth(self, mask: int) -> Fraction:
         """The worth of one coalition; the reads that take a few entries go

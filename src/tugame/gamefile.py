@@ -14,9 +14,9 @@ JSON decimal literals, or strings like "29/2" or "14.5"; quoted or bare,
 a number follows one grammar, which has no exponent form. Numeric tokens
 are converted from their digit text, so decimals stay exact: "14.5"
 becomes 29/2, never a binary float. When every worth is a plain p or p/q,
-one pattern pass validates them and one loop reduces each to lowest terms
-as a (numerator, denominator) pair of ints, which the game keeps as they
-are: no `Fraction` is built. Any other file is converted worth by worth,
+one loop matches each and reduces it to lowest terms as a (numerator,
+denominator) pair of ints, which the game keeps as they are: no
+`Fraction` is built. Any other file is converted worth by worth,
 which names the first bad token. The writer takes each worth's text from
 the same two ints.
 """
@@ -27,7 +27,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import islice
 from math import gcd
 
 from .errors import BadNumberError, DigitLimitError, DuplicateCoalitionError, GameFormatError
@@ -42,8 +42,9 @@ from .game import (
 
 _TOP_LEVEL_KEYS = {"kind", "n", "values"}
 
-# A plain worth: p or p/q in ASCII digits, with a sign on p only.
-_PLAIN_WORTH = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+# A plain worth: p or p/q in ASCII digits, with a sign on p only; groups
+# 1 and 2 hold p and q.
+_PLAIN_WORTH = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _reject_constant(token):
@@ -85,22 +86,27 @@ def _file_worth(raw) -> Fraction:
 
 
 def _file_worths(raws):
-    """The worths of a file: when each reads through `str` as a plain p or
-    p/q (a JSON int, a Fraction from the float hook, or such a string) and
-    the bulk pass raises nothing (no "p/0", no numerator past the digit
-    limit), the int lists (numerators, denominators) in lowest terms, each
-    entry reduced as it is read, in entry order after the empty
-    coalition's 0/1; else a lazy `_file_worth` map, which refuses the first
-    fault with its own message when it reaches it."""
+    """The worths of a file, in one pass that reduces each to lowest terms
+    as it reads it through `str` as a plain p or p/q (a JSON int, a
+    Fraction from the float hook, or such a string). When all are, and none
+    is "p/0" or has a numerator past the digit limit, the int lists
+    (numerators, denominators) in entry order after the empty coalition's
+    0/1; else a lazy `_file_worth` map over them all, which refuses the
+    first fault with its own message when it reaches it."""
+    nums, dens = [0], [1]
+    put_num, put_den = nums.append, dens.append
+    plain = _PLAIN_WORTH.fullmatch
     try:
-        if all(map(_PLAIN_WORTH.fullmatch, map(str, raws))):
-            nums, dens = [0], [1]
-            put_num, put_den = nums.append, dens.append
-            for p, _, q in map(str.partition, map(str, raws), repeat("/")):
-                p, q = int(p), int(q or 1)
-                g = gcd(p, q)  # 0 only for 0/0, which the division refuses
-                put_num(p // g)
-                put_den(q // g)
+        for raw in raws:
+            match = plain(str(raw))
+            if match is None:
+                break
+            p, q = match.groups()
+            p, q = int(p), int(q or 1)
+            g = gcd(p, q)  # 0 only for 0/0, which the division refuses
+            put_num(p // g)
+            put_den(q // g)
+        else:
             if 0 not in dens:
                 return nums, dens
     except (ValueError, ZeroDivisionError):
@@ -121,34 +127,6 @@ def _pairs_to_dict(pairs):
     return out
 
 
-def _decode(text: str):
-    """The JSON value of game-file text, with exact numbers. It is decoded
-    into plain dicts first, counting their entries: each pair puts one ":"
-    outside strings, so a text with no more ":" than that repeats no key,
-    and no list of every object's pairs is ever held. Any other text, or
-    one that fails, is decoded again with each object's pairs in hand
-    (`_pairs_to_dict`), which names the first repeated key or raises what
-    the text's first fault raises."""
-    hooks = {
-        "parse_float": _exact_number(Fraction),
-        "parse_int": _exact_number(int),
-        "parse_constant": _reject_constant,
-    }
-    entries = []
-
-    def counted(obj):
-        entries.append(len(obj))
-        return obj
-
-    try:
-        doc = json.loads(text, object_hook=counted, **hooks)
-        if text.count(":") == sum(entries):
-            return doc
-    except (ValueError, TypeError, RecursionError):  # raised again below
-        pass
-    return json.loads(text, object_pairs_hook=_pairs_to_dict, **hooks)
-
-
 def parse_game(text: str) -> TUGame | CostGame:
     """Parse game file text into a TUGame or CostGame, exactly.
 
@@ -157,7 +135,13 @@ def parse_game(text: str) -> TUGame | CostGame:
     in the same order, as a constructor call.
     """
     try:
-        doc = _decode(text)
+        doc = json.loads(
+            text,
+            parse_float=_exact_number(Fraction),
+            parse_int=_exact_number(int),
+            parse_constant=_reject_constant,
+            object_pairs_hook=_pairs_to_dict,
+        )
     except json.JSONDecodeError as exc:
         raise GameFormatError(f"not valid game-file text: {exc.msg}", exc.pos) from None
     except RecursionError:

@@ -123,10 +123,12 @@ def test_shuffled_keys_and_token_forms():
 
 def test_parse_peak_memory_is_a_small_multiple_of_the_game(text16):
     """The worth tokens are validated one at a time: at n = 16 the traced
-    peak of a parse stays within 3.25 times the game it keeps (2.3 to 2.6
-    on CPython 3.10 to 3.13). One pattern matched over all the tokens
-    joined into one string peaks at 5.7 to 7.5 times, in sre's
-    backtracking stack."""
+    peak of a parse stays within 3.25 times the game it keeps, its two
+    int lists (3.21 on CPython 3.11, 3.03 on 3.12 and 3.13; 3.90 on 3.10,
+    whose dicts take 24 bytes an entry, past the bound). The peak is the
+    JSON decode: the key memo, the list of (key, worth) pairs and the
+    values dict at once. One pattern matched over all the tokens joined
+    into one string peaks far higher, in sre's backtracking stack."""
     tracemalloc.start()
     try:
         game = parse_game(text16)

@@ -92,6 +92,7 @@ def test_parsed_and_constructed_games_agree(n):
             for worth in parsed.table:
                 assert type(worth) is Fraction
                 assert math.gcd(worth.numerator, worth.denominator) == 1
+            assert built._ints is None  # read off its Fractions, never kept
 
 
 def _literal(table, factor, offsets):
