@@ -47,12 +47,12 @@ def remainder(game: TUGame, coalition, player: int) -> Fraction:
         raise PlayerNotInCoalitionError(
             f"player {quoted(player)} is not in coalition {{{coalition_key(mask)}}}"
         )
-    payoffs = utopia_payoffs(game)
-    others = sum(
-        (payoffs[i] for i in range(game.n) if mask & (1 << i) and i != player - 1),
-        Fraction(0),
-    )
-    return game._worth(mask) - others
+    return _remainder(game, mask, player - 1, utopia_payoffs(game))
+
+
+def _remainder(game: TUGame, mask: int, i: int, payoffs) -> Fraction:
+    """`remainder` of the 0-based player i, unchecked, given the utopia payoffs."""
+    return game._worth(mask) - sum(payoffs[j] for j in range(game.n) if mask >> j & 1 and j != i)
 
 
 def minimal_rights(game: TUGame) -> tuple[Fraction, ...]:
@@ -73,7 +73,8 @@ def minimal_rights(game: TUGame) -> tuple[Fraction, ...]:
     u_i + r(S) = w(S) - sum of u_j over S minus i is within 2n, and the
     true maximum lies among the masks within 4n of the computed one: only
     those, found in the slices whose own maximum reaches that far, are
-    resolved exactly, as `remainder`s over the Fractions.
+    resolved exactly, as `remainder`s over the Fractions, against utopia
+    payoffs computed once.
     """
     rights = getattr(game, "_rights", None)
     if rights is not None:
@@ -84,6 +85,7 @@ def minimal_rights(game: TUGame) -> tuple[Fraction, ...]:
     upper = [w[full] - w[full ^ (1 << i)] for i in range(n)]
     rest = list(map(sub, w, additive_table(upper)))
     masks = range(len(w))
+    payoffs = None if exact else utopia_payoffs(game)
     found = []
     for i in range(n):
         slices = [having for _, having in bit_slices(n, i)]
@@ -94,7 +96,7 @@ def minimal_rights(game: TUGame) -> tuple[Fraction, ...]:
         else:
             floor = best - 4 * n
             found.append(max(
-                remainder(game, s, i + 1)
+                _remainder(game, s, i, payoffs)
                 for having, top in zip(slices, tops) if top >= floor
                 for s in compress(masks[having], map(ge, rest[having], repeat(floor)))
             ))

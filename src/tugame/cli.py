@@ -301,7 +301,7 @@ def run(argv=None) -> int:
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(rendered + "\n")
+                print(rendered, file=handle)
         except OSError as exc:
             print(f"tugame: cannot write {args.output}: {exc}", file=sys.stderr)
             return 2

@@ -85,5 +85,5 @@ def savings_game(cost: CostGame) -> TUGame:
     Singleton savings are identically zero, so the result is 0-normalized.
     """
     return TUGame._from_table(
-        cost.n, ints=affine_table(cost, Fraction(-1), cost.singleton_values())
+        cost.n, affine_table(cost, Fraction(-1), cost.singleton_values())
     )

@@ -8,16 +8,15 @@ game constructor and `gamefile.parse_game`, fill and validate the table
 through one builder, `build_table`, which places the worths in one pass
 when the keys are the int masks or the canonical keys in mask order.
 
-A game holds its worths in one of two forms: a tuple of Fractions (the
-constructor, the oracle's samplers), or two int lists of numerators and
-denominators in lowest terms (a file read in bulk, and every affine map
-of `transforms.affine_table`). An int-backed game builds its Fractions on
-first use and keeps them; a Fraction-backed one reads its ints off them
-at each call and keeps none. The kernels, the game-file writer, equality
-and hashing read the ints; the few reads of single worths (`value`,
-`grand_value`, `singleton_values`, the exact decisions of the kernels)
-build one Fraction each. So a file goes through the CLI without a
-`Fraction` per coalition.
+Every game holds its worths as two int lists, numerators and denominators
+in lowest terms: a file read in bulk and every affine map
+(`transforms.affine_table`) make them without a `Fraction` per coalition;
+the constructor reads them off the Fractions it builds, and keeps those.
+Any other game builds its Fractions on the first read of `table`. The
+kernels, the game-file writer, equality and hashing read the ints, and the
+kernels decide close calls on them by cross-multiplication (`_at_least`);
+the API's reads of single worths build one Fraction each when no table is
+kept, so a file goes through the CLI without a `Fraction` per coalition.
 
 A game stores, each built on first use, its minimal rights
 (`bounds.minimal_rights`) and one integer view (`_view`) of its
@@ -280,10 +279,17 @@ def check_player_count(n) -> None:
         )
 
 
+def split_worths(table) -> tuple[list, list]:
+    """The int lists (numerators, denominators) of a sequence of Fractions,
+    in two C-level passes: lowest terms, as every Fraction holds them."""
+    return list(map(attrgetter("numerator"), table)), list(map(attrgetter("denominator"), table))
+
+
 def build_table(n: int, values: Mapping, convert) -> tuple:
     """The mask-indexed worth table of an n-player game, validated, as the
-    pair (table, ints) a game stores: its tuple of Fractions, or its int
-    lists (numerators, denominators) in lowest terms; the other is None.
+    pair (ints, table) a game stores: its int lists (numerators,
+    denominators) in lowest terms, and its tuple of Fractions when the
+    builder made them, else None.
 
     The one builder behind the game constructor and `parse_game`.
     `convert(values.values())` gives the worths in entry order and raises
@@ -312,10 +318,11 @@ def build_table(n: int, values: Mapping, convert) -> tuple:
     worths = convert(values.values())
     if type(worths) is tuple:  # a bulk pass's (numerators, denominators)
         if in_order:
-            return None, worths
+            return worths, None
         worths = islice(map(Fraction, *worths), 1, None)
     elif in_order:
-        return (ZERO, *worths), None
+        table = (ZERO, *worths)
+        return split_worths(table), table
     worths = iter(worths)
     index = None
     table: list[Fraction | None] = [None] * (1 << n)
@@ -330,9 +337,7 @@ def build_table(n: int, values: Mapping, convert) -> tuple:
         worth = next(worths)
         if mask == 0:
             if worth != 0:
-                raise GameError(
-                    f"the empty coalition must be worth 0, got {exact_text(worth)}"
-                )
+                raise GameError(f"the empty coalition must be worth 0, got {exact_text(worth)}")
         elif table[mask] is not None:
             raise DuplicateCoalitionError(coalition_key(mask))
         else:
@@ -340,7 +345,7 @@ def build_table(n: int, values: Mapping, convert) -> tuple:
     for mask, worth in enumerate(table):
         if worth is None:
             raise MissingCoalitionError(coalition_key(mask))
-    return tuple(table), None
+    return split_worths(table), tuple(table)
 
 
 class _CharacteristicGame:
@@ -348,48 +353,45 @@ class _CharacteristicGame:
 
     kind = ""
 
-    # `_table` holds the Fractions, or is None until `table` builds them
-    # from `_ints`, the (numerators, denominators) of a game built from
-    # ints; a game built from Fractions keeps no ints, and `_worth_ints`
-    # reads them off its table afresh at each call. `_scaled` holds the
-    # integer view once `_view` has built it, and `_rights` the minimal
-    # rights once `bounds.minimal_rights` has; equality and hashing read
-    # only n and the ints.
-    __slots__ = ("_n", "_table", "_ints", "_scaled", "_rights")
+    # `_ints` is the one store: the (numerators, denominators) of every
+    # worth, in lowest terms. Caches built on first use: `_table` the
+    # Fractions (kept from the start by the constructor and a walked file,
+    # whose ints are then two 2**n-entry lists of pointers, 128 KB at
+    # n = 13 and 1 MB at n = 16), `_scaled` the view of `_view`, `_rights`
+    # the minimal rights of `bounds.minimal_rights`. Equality and hashing
+    # read n and the ints.
+    __slots__ = ("_n", "_ints", "_table", "_scaled", "_rights")
 
     def __init__(self, n: int, values: Mapping):
-        self._table, self._ints = build_table(n, values, partial(map, to_fraction))
+        self._ints, self._table = build_table(n, values, partial(map, to_fraction))
         self._n = n
 
     @classmethod
-    def _from_table(cls, n: int, table=None, ints=None):
+    def _from_table(cls, n: int, ints, table=None):
         """Internal constructor for games already in validated table form:
-        the tuple of Fractions, or the int lists in lowest terms."""
+        the int lists in lowest terms, and their Fractions if already built."""
         game = object.__new__(cls)
-        game._n = n
-        game._table = table
-        game._ints = ints
+        game._n, game._ints, game._table = n, ints, table
         return game
 
-    def _worth_ints(self) -> tuple[list, list]:
-        """(numerators, denominators), each indexed by mask, in lowest
-        terms; read off the Fractions in two C-level passes, and not kept,
-        if the game holds only those."""
-        if self._ints is not None:
-            return self._ints
-        table = self._table
-        return (
-            list(map(attrgetter("numerator"), table)),
-            list(map(attrgetter("denominator"), table)),
-        )
-
     def _worth(self, mask: int) -> Fraction:
-        """The worth of one coalition; the reads that take a few entries go
-        through here, so they build no table of Fractions."""
+        """One coalition's worth, for the API's few reads: builds no table."""
         if self._table is not None:
             return self._table[mask]
         nums, dens = self._ints
         return Fraction(nums[mask], dens[mask])
+
+    def _at_least(self, big, small) -> bool:
+        """Whether the worths of the masks in `big` sum to at least those of
+        the masks in `small`: the kernels' exact stage, decided on the ints
+        by cross-multiplication, with no gcd and no Fraction."""
+        nums, dens = self._ints
+        p, q, r, t = 0, 1, 0, 1
+        for mask in big:
+            p, q = p * dens[mask] + nums[mask] * q, q * dens[mask]
+        for mask in small:
+            r, t = r * dens[mask] + nums[mask] * t, t * dens[mask]
+        return p * t >= r * q
 
     def _view(self) -> tuple[int, list, bool]:
         """(scale, w, exact), the integer view of g(S) = v(S) - sum of v_i
@@ -412,7 +414,7 @@ class _CharacteristicGame:
             return self._scaled
         except AttributeError:
             pass
-        nums, dens = self._worth_ints()
+        nums, dens = self._ints
         singles = [1 << i for i in range(self._n)]
         d = _lcm_within(dens)
         if d is not None:
@@ -470,10 +472,10 @@ class _CharacteristicGame:
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self._n == other._n and self._worth_ints() == other._worth_ints()
+        return self._n == other._n and self._ints == other._ints
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self._n, *map(tuple, self._worth_ints())))
+        return hash((type(self).__name__, self._n, *map(tuple, self._ints)))
 
     def __repr__(self) -> str:
         worths = ", ".join(

@@ -186,9 +186,8 @@ def game_document(game: TUGame | CostGame) -> dict:
     """The game-file object of a game, its keys in increasing mask order.
     Each worth is written from its numerator and denominator: "p/q", or
     the JSON integer p when q is 1."""
-    nums, dens = game._worth_ints()
     try:
-        tokens = [p if q == 1 else f"{p}/{q}" for p, q in islice(zip(nums, dens), 1, None)]
+        tokens = [p if q == 1 else f"{p}/{q}" for p, q in islice(zip(*game._ints), 1, None)]
     except ValueError:
         raise DigitLimitError() from None
     values = dict(zip(islice(coalition_keys(game.n), 1, None), tokens))

@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from .bounds import utopia_payoffs
 from .errors import GameError, GenerationFailedError, TooManyPlayersError
-from .game import CostGame, TUGame, quoted
+from .game import CostGame, TUGame, quoted, split_worths
 from .properties import (
     GameClassification,
     essential_surplus,
@@ -324,7 +324,7 @@ def _sample_superadditive(rng: random.Random, n: int) -> TUGame:
     _fill_superadditive(rng, table, by_size, 0)
     full = len(table) - 1
     table[full] = _superadditive_floor(table, full) + _rand_fraction(rng, 1, 8)
-    return TUGame._from_table(n, tuple(table))
+    return TUGame._from_table(n, split_worths(table))
 
 
 def _sample_quasibalanced(rng: random.Random, n: int) -> TUGame | None:
@@ -338,7 +338,7 @@ def _sample_quasibalanced(rng: random.Random, n: int) -> TUGame | None:
     if n == 2:
         # d* = 1 for every essential two-player game; no window to tune
         table[full] = singles_sum + _rand_fraction(rng, 1, 8)
-        return TUGame._from_table(n, tuple(table))
+        return TUGame._from_table(n, split_worths(table))
 
     floor = _superadditive_floor(table, full)
     low = max(floor, near_grand_sum / (n - 1))
@@ -346,7 +346,7 @@ def _sample_quasibalanced(rng: random.Random, n: int) -> TUGame | None:
     if low > high:
         return None
     table[full] = low + (high - low) * Fraction(rng.randint(0, 8), 8)
-    return TUGame._from_table(n, tuple(table))
+    return TUGame._from_table(n, split_worths(table))
 
 
 def _sample_weakly_constant_sum(rng: random.Random, n: int) -> TUGame:
@@ -367,7 +367,7 @@ def _sample_weakly_constant_sum(rng: random.Random, n: int) -> TUGame:
     for coalition_size in range(2, n - 1):
         for mask in by_size[coalition_size]:
             table[mask] = _rand_fraction(rng, -4, 8)
-    return TUGame._from_table(n, tuple(table))
+    return TUGame._from_table(n, split_worths(table))
 
 
 def _sample_arbitrary(rng: random.Random, n: int) -> TUGame:
@@ -377,7 +377,7 @@ def _sample_arbitrary(rng: random.Random, n: int) -> TUGame:
             table[mask] = _rand_fraction(rng, -6, 12)
     singles_sum = sum(table[mask] for mask in by_size[1])
     table[len(table) - 1] = singles_sum + _rand_fraction(rng, 1, 10)
-    return TUGame._from_table(n, tuple(table))
+    return TUGame._from_table(n, split_worths(table))
 
 
 _SAMPLERS = {
@@ -446,4 +446,4 @@ def generate_cost_game(seed: int, n: int) -> CostGame:
     rng = _seeded("cost", n, seed)
     savings = zero_normalize(_sample_superadditive(rng, n))
     singles = tuple(_rand_fraction(rng, 6, 18) for _ in range(n))
-    return CostGame._from_table(n, ints=affine_table(savings, Fraction(-1), singles))
+    return CostGame._from_table(n, affine_table(savings, Fraction(-1), singles))

@@ -34,9 +34,9 @@ with that player's bit removed. On an exact view every comparison is
 exact. On a rounded one each entry is within 1 of g(S) * 2**64, so a
 check that combines k entries (4 in a convexity check, 3 in a pair, 2
 in weak superadditivity) is trusted only when its margin on w is at
-least k, either way; every closer call is decided from the worths as
-Fractions (`game._worth`, one entry at a time), so each answer stays
-exact. Floats are never used.
+least k, either way; every closer call is decided exactly on the worths'
+numerators and denominators (`game._at_least`, by cross-multiplication),
+so each answer stays exact. Floats are never used.
 """
 
 from __future__ import annotations
@@ -82,15 +82,15 @@ def is_superadditive(game: TUGame) -> bool:
     convexity (surplus > 0); the full pair scan runs only on a game with
     positive surplus that is not convex.
     """
-    surplus = game.grand_value - sum(game.singleton_values())
-    if surplus < 0:
+    full, singles = (game.grand_mask,), [1 << i for i in range(game.n)]
+    if not game._at_least(full, singles):  # surplus < 0
         return False
     _, w, exact = game._view()
-    if surplus == 0:
+    if game._at_least(singles, full):  # surplus 0
         return exact and not any(w)
-    if _is_convex(game._worth, w, game.n, 0 if exact else 4):
+    if _is_convex(game._at_least, w, game.n, 0 if exact else 4):
         return True
-    return _pairs_superadditive(game._worth, w, 0 if exact else 3)
+    return _pairs_superadditive(game._at_least, w, 0 if exact else 3)
 
 
 def _monotone(vec, m: int, first: int, margin: int, decide) -> bool:
@@ -110,7 +110,7 @@ def _monotone(vec, m: int, first: int, margin: int, decide) -> bool:
     return True
 
 
-def _is_convex(worth, w, n: int, margin: int) -> bool:
+def _is_convex(at_least, w, n: int, margin: int) -> bool:
     """v(S | i | j) - v(S | j) >= v(S | i) - v(S) for all players i < j and
     every S without them: the marginal worth of i never falls when j joins.
 
@@ -132,17 +132,17 @@ def _is_convex(worth, w, n: int, margin: int) -> bool:
 
         def decide(c, j):
             s = ((c >> i) << (i + 1)) | (c & (low - 1))
-            return worth(s | low | 2 << j) - worth(s | 2 << j) >= worth(s | low) - worth(s)
+            return at_least((s | low | 2 << j, s), (s | low, s | 2 << j))
 
         if not _monotone(gain, n - 1, i, margin, decide):
             return False
     return True
 
 
-def _pairs_superadditive(worth, w, margin: int) -> bool:
+def _pairs_superadditive(at_least, w, margin: int) -> bool:
     """The full O(3**n) scan of every unordered disjoint nonempty pair:
     w(S | T) - w(S) - w(T) at least `margin` passes, at most -`margin`
-    fails, and the Fractions decide in between."""
+    fails, and `at_least` decides in between."""
     full = len(w) - 1
     for s in range(1, full + 1):
         ws = w[s]
@@ -152,7 +152,7 @@ def _pairs_superadditive(worth, w, margin: int) -> bool:
         t = comp
         while t:
             gap = w[s | t] - ws - w[t]
-            if gap < margin and (gap <= -margin or worth(s | t) < worth(s) + worth(t)):
+            if gap < margin and (gap <= -margin or not at_least((s | t,), (s, t))):
                 return False
             t = (t - 1) & comp
     return True
@@ -172,12 +172,9 @@ def is_weakly_superadditive(game: TUGame) -> bool:
     On the view this reads g(S | i) >= g(S), as g(i) = 0: g is monotone.
     """
     _, w, exact = game._view()
-    worth = game._worth
-
-    def decide(s, j):
-        return worth(s | 1 << j) >= worth(s) + worth(1 << j)
-
-    return _monotone(w, game.n, 0, 0 if exact else 2, decide)
+    return _monotone(
+        w, game.n, 0, 0 if exact else 2, lambda s, j: game._at_least((s | 1 << j,), (s, 1 << j))
+    )
 
 
 def is_weakly_constant_sum(game: TUGame) -> bool:

@@ -35,7 +35,7 @@ def affine_table(game, factor: Fraction, offsets) -> tuple[list, list]:
     sd, td = s * d, t * d
     nums, dens = [], []
     put_num, put_den = nums.append, dens.append
-    for total, p, q in zip(shift_sum, *game._worth_ints()):
+    for total, p, q in zip(shift_sum, *game._ints):
         top, bottom = sd * p + t * total * q, td * q
         g = gcd(top, bottom)
         put_num(top // g)
@@ -57,7 +57,7 @@ def scale_shift(game: TUGame, scale, shift) -> TUGame:
         raise GameError(
             f"shift has {len(offsets)} entries for a {game.n}-player game"
         )
-    return TUGame._from_table(game.n, ints=affine_table(game, factor, offsets))
+    return TUGame._from_table(game.n, affine_table(game, factor, offsets))
 
 
 def zero_normalize(game: TUGame) -> TUGame:

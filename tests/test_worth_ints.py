@@ -1,6 +1,8 @@
-"""Games held as int lists (a file read in bulk, an affine map) against games
-held as Fractions: the same answers, the same bytes, and no table of
-Fractions built on the file path."""
+"""Every game holds its worths as reduced int lists, whichever way it was
+made: games read from a file in bulk and made by an affine map against
+constructed ones, which also keep their Fractions: the same answers, the
+same bytes, no table of Fractions built on the file path, and ties decided
+on the ints."""
 
 import json
 import math
@@ -20,11 +22,15 @@ from tugame import (
     savings_game,
     serialize_game,
     tau_value,
+    generate_game,
+    is_superadditive,
+    is_weakly_superadditive,
     zero_normalize,
     zero_one_normalize,
 )
 from tugame import cli
-from tugame.game import coalition_keys
+from tugame.game import _CharacteristicGame, coalition_keys
+from tugame.oracle import recompute_by_definition
 from tugame.transforms import affine_table
 
 from conftest import run_cli, tie_heavy_table
@@ -65,8 +71,21 @@ def _file_text(kind: str, table: list, rng: random.Random) -> str:
 
 
 def _built(cls, n: int, table: list):
-    """The game of a table through the constructor: held as Fractions."""
+    """The game of a table through the constructor, which keeps its
+    Fractions beside the ints."""
     return cls(n, dict(enumerate(table[1:], start=1)))
+
+
+def _assert_one_store(game, table) -> None:
+    """The game holds the worths of `table` as two int lists indexed by
+    mask, each worth in lowest terms with its sign on the numerator."""
+    nums, dens = game._ints
+    assert type(nums) is list and type(dens) is list
+    assert len(nums) == len(dens) == len(table) == 1 << game.n
+    assert all(type(p) is int for p in nums)
+    assert all(type(q) is int and q > 0 for q in dens)
+    assert all(math.gcd(p, q) == 1 for p, q in zip(nums, dens))
+    assert list(map(Fraction, nums, dens)) == list(table)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -92,7 +111,8 @@ def test_parsed_and_constructed_games_agree(n):
             for worth in parsed.table:
                 assert type(worth) is Fraction
                 assert math.gcd(worth.numerator, worth.denominator) == 1
-            assert built._ints is None  # read off its Fractions, never kept
+            _assert_one_store(built, table)
+            _assert_one_store(parsed, table)
 
 
 def _literal(table, factor, offsets):
@@ -116,13 +136,76 @@ def test_affine_maps_match_the_literal_formula(n):
                 assert affine_table(game, factor, offsets) == _literal(table, factor, offsets)
             singles = [table[1 << i] for i in range(n)]
             expected = _literal(table, Fraction(1), [-v for v in singles])
-            assert zero_normalize(game)._worth_ints() == expected
+            assert zero_normalize(game)._ints == expected
             surplus = table[-1] - sum(singles)
             if surplus > 0:
                 expected = _literal(table, 1 / surplus, [-v / surplus for v in singles])
-                assert zero_one_normalize(game)._worth_ints() == expected
-            cost = CostGame._from_table(n, game.table)
-            assert savings_game(cost)._worth_ints() == _literal(table, Fraction(-1), singles)
+                assert zero_one_normalize(game)._ints == expected
+            cost = CostGame._from_table(n, game._ints)
+            assert savings_game(cost)._ints == _literal(table, Fraction(-1), singles)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_every_source_holds_reduced_ints_and_builds_fractions_on_first_read(n):
+    """The constructor and a walked file keep the Fractions they built; a
+    file read in bulk, a sampler's game and an affine map's build none
+    until `table` is read, and then keep them."""
+    rng = random.Random(300 + n)
+    for table in _tables(n):
+        text = _file_text("tu", table, rng)
+        doc = json.loads(text)
+        doc["values"] = dict(reversed(doc["values"].items()))
+        singles = [table[1 << i] for i in range(n)]
+        sources = {
+            "constructor": (_built(TUGame, n, table), table, True),
+            "walked file": (parse_game(json.dumps(doc)), table, n > 1),
+            "bulk file": (parse_game(text), table, False),
+            "affine map": (
+                zero_normalize(_built(TUGame, n, table)),
+                [Fraction(p, q) for p, q in zip(*_literal(table, Fraction(1), [-v for v in singles]))],
+                False,
+            ),
+        }
+        for name, (game, worths, kept) in sources.items():
+            _assert_one_store(game, worths)
+            assert (game._table is not None) is kept, name
+            assert game.table == tuple(worths)
+            assert game._table is game.table, name
+    if n > 1:
+        sampled = generate_game(n, min(n, 4), "superadditive")
+        assert sampled._table is None
+        _assert_one_store(sampled, sampled.table)
+        assert sampled._table is sampled.table
+
+
+def test_ties_are_decided_on_the_ints(monkeypatch):
+    """The tie-heavy table over BIG_PRIME at n = 8 has a rounded view whose
+    pairs mostly tie, so most checks of the scans reach the exact stage:
+    with `_worth` made to raise, both scans still run, on the constructed
+    and on the parsed game, and agree with the definitions."""
+    n = 8
+    table = [w / BIG_PRIME for w in tie_heavy_table(n)]
+    built = _built(TUGame, n, table)
+    parsed = parse_game(_file_text("tu", table, random.Random(8)))
+    expected = recompute_by_definition(built).classification
+    assert expected.superadditive
+    calls = []
+    at_least = _CharacteristicGame._at_least
+
+    def counted(game, big, small):
+        calls.append(1)
+        return at_least(game, big, small)
+
+    def refuse(game, mask):
+        raise AssertionError("a kernel read a single worth")
+
+    monkeypatch.setattr(_CharacteristicGame, "_worth", refuse)
+    monkeypatch.setattr(_CharacteristicGame, "_at_least", counted)
+    for game in (built, parsed):
+        assert not game._view()[2]
+        assert is_superadditive(game) is expected.superadditive
+        assert is_weakly_superadditive(game) is expected.weakly_superadditive
+    assert len(calls) > 3**n // 4
 
 
 @pytest.mark.parametrize("argv", [("savings",), ("normalize", "--mode", "zero")])
