@@ -31,8 +31,12 @@ entries is off by less than k.
 
 Every worth a game hands out is a `fractions.Fraction`. Binary floats are
 refused on input: the degeneracy checks downstream hinge on knife-edge
-equalities that rounding would corrupt, so decimal text must be converted
-from its digit string (which `Fraction` does exactly).
+equalities that rounding would corrupt, so decimal text is converted from
+its digit string. One reader, `worth_pairs`, holds the number grammar of
+worth text (a sign, digits, then an optional ".digits" or "/digits",
+surrounding whitespace tolerated) and the digit limit on its conversion;
+`to_fraction`, the game file's JSON number hooks and its bulk pass all
+read numbers through it.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from .errors import (
     DigitLimitError,
     DuplicateCoalitionError,
     GameError,
+    GameFormatError,
     MissingCoalitionError,
     PlayerCountError,
     PlayerOutOfRangeError,
@@ -68,17 +73,78 @@ _VIEW_LIMIT = 1 << _VIEW_BITS
 
 ZERO = Fraction(0)
 
-# int, decimal, or p/q; exponents and bare "."-forms are rejected.
-# Groups 1 and 2 hold p and q of a p/q token.
-_NUMBER_TOKEN = re.compile(r"[+-]?\d+(?:\.\d+)?$|([+-]?\d+)/(\d+)$")
+# The worth grammar, quoted or bare: a sign, digits, then an optional
+# ".digits" or "/digits"; no exponent. A digit is any Unicode decimal digit
+# (\d), each of which int() converts; the ASCII range listed first spares
+# ASCII digits the slower Unicode test. Groups: p with its sign, the
+# decimals, q.
+_WORTH_TOKEN = re.compile(r"([+-]?[0-9\d]+)(?:\.([0-9\d]+)|/([0-9\d]+))?")
+
+
+def worth_pairs(raws) -> tuple[list, list]:
+    """The (numerators, denominators) int lists, in lowest terms, of worths
+    that are strings of the worth grammar (surrounding whitespace is
+    tolerated), exact ints or exact Fractions: "3", "-7/2" and "14.5" (from
+    its digit text, never through a float) give 3/1, -7/2 and 29/2.
+
+    Raises at the first worth it refuses: a BadNumberError for any other
+    value or text, or a zero denominator, and a GameFormatError naming the
+    limit when a digit run is longer than `sys.get_int_max_str_digits()`,
+    the most digits Python converts from text to int. Each run is converted
+    on its own, as `Fraction` converts a decimal.
+    """
+    nums, dens = [], []
+    put_num, put_den = nums.append, dens.append
+    match = _WORTH_TOKEN.fullmatch
+    for raw in raws:
+        # exact type tests: isinstance against Fraction is an ABC check
+        kind = type(raw)
+        if kind is str:
+            token = match(raw.strip())
+            if token is None:
+                raise BadNumberError(raw)
+            p, point, q = token.groups()
+            try:
+                if point is not None:
+                    q = 10 ** len(point)
+                    p = int(p) * q + (-int(point) if p[0] == "-" else int(point))
+                else:
+                    p, q = int(p), int(q or 1)
+            except ValueError:
+                digits = sum(map(str.isdigit, raw))
+                raise GameFormatError(
+                    f"number literal of {digits} digits exceeds the limit of "
+                    f"{sys.get_int_max_str_digits()} digits"
+                ) from None
+            if not q:
+                raise BadNumberError(raw)
+            g = gcd(p, q)
+            if g != 1:  # most tokens come in lowest terms
+                p //= g
+                q //= g
+        elif kind is int:
+            p, q = raw, 1
+        elif kind is Fraction:
+            p, q = raw.numerator, raw.denominator
+        else:
+            raise BadNumberError(raw)
+        put_num(p)
+        put_den(q)
+    return nums, dens
+
+
+def worth_fraction(raw) -> Fraction:
+    """The exact rational of one worth, read by `worth_pairs`."""
+    (p,), (q,) = worth_pairs((raw,))
+    return Fraction(p, q)
 
 
 def to_fraction(value) -> Fraction:
     """Convert a worth to an exact Fraction, refusing binary floats.
 
-    Accepts int, Fraction, decimal.Decimal, and strings of the form
-    "3", "-7/2", or "14.5" (parsed from the digit text, never through a
-    float). A Decimal whose exact value could need more digits than
+    Accepts int, Fraction, decimal.Decimal, and strings of the worth
+    grammar of `worth_pairs`, such as "3", "-7/2" or "14.5". A Decimal
+    whose exact value could need more digits than
     `sys.get_int_max_str_digits()` is a BadNumberError.
     """
     # the exact type test first: isinstance against Fraction is an ABC check
@@ -105,23 +171,8 @@ def to_fraction(value) -> Fraction:
             f"string like '29/2' or '14.5' to keep arithmetic exact"
         )
     if isinstance(value, str):
-        return token_to_fraction(value)
+        return worth_fraction(str(value))  # str(): the reader takes exact strs
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
-
-
-def token_to_fraction(value: str) -> Fraction:
-    """The exact rational of a number string: "3", "-7/2" or "14.5"."""
-    token = value.strip()
-    match = _NUMBER_TOKEN.match(token)
-    if not match:
-        raise BadNumberError(value)
-    p, q = match.groups()
-    try:
-        if q is None:
-            return Fraction(token)
-        return Fraction(int(p), int(q))
-    except (ValueError, ZeroDivisionError):
-        raise BadNumberError(value) from None
 
 
 def exact_text(value: Fraction) -> str:

@@ -10,108 +10,49 @@ Coalition keys are comma-separated strictly increasing 1-based player
 indices ("1", "1,3", "1,2,3"). Every nonempty coalition of an n-player
 game must appear exactly once; an explicit empty-coalition entry (key "")
 is tolerated when its value is exactly 0. Worths may be JSON integers,
-JSON decimal literals, or strings like "29/2" or "14.5"; quoted or bare,
-a number follows one grammar, which has no exponent form. Numeric tokens
-are converted from their digit text, so decimals stay exact: "14.5"
-becomes 29/2, never a binary float. When every worth is a plain p or p/q,
-one loop matches each and reduces it to lowest terms as a (numerator,
-denominator) pair of ints, which the game keeps as they are: no
-`Fraction` is built. Any other file is converted worth by worth,
-which names the first bad token. The writer takes each worth's text from
-the same two ints.
+JSON decimal literals, or strings like "29/2" or "14.5". Quoted or bare,
+a number is read by one reader, `game.worth_pairs`, which holds the one
+grammar (no exponent form) and the digit limit, and converts from the
+digit text, so decimals stay exact: "14.5" becomes 29/2, never a binary
+float. One pass of that reader turns every worth of a file into a
+(numerator, denominator) pair of ints in lowest terms, which the game
+keeps as they are: no `Fraction` is built. When it refuses a worth, the
+file is converted worth by worth, which names the first fault. The writer
+takes each worth's text from the same two ints.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import sys
-from fractions import Fraction
-from itertools import islice
-from math import gcd
+from itertools import chain, islice
 
 from .errors import BadNumberError, DigitLimitError, DuplicateCoalitionError, GameFormatError
-from .game import (
-    _NUMBER_TOKEN,
-    CostGame,
-    TUGame,
-    build_table,
-    coalition_keys,
-    token_to_fraction,
-)
+from .game import CostGame, TUGame, build_table, coalition_keys, worth_fraction, worth_pairs
 
 _TOP_LEVEL_KEYS = {"kind", "n", "values"}
-
-# A plain worth: p or p/q in ASCII digits, with a sign on p only; groups
-# 1 and 2 hold p and q.
-_PLAIN_WORTH = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _reject_constant(token):
     raise BadNumberError(token)
 
 
-def _exact_number(convert):
-    """A json number hook. A literal outside the grammar of quoted number
-    tokens (an exponent such as 1e5) is a BadNumberError before any
-    conversion, and an over-long literal is a format error: Python refuses
-    to convert more than a fixed number of digits
-    (`sys.get_int_max_str_digits()`, 4300 by default) from text to int."""
-
-    def parse(token):
-        if not _NUMBER_TOKEN.match(token):
-            raise BadNumberError(token)
-        try:
-            return convert(token)
-        except ValueError:
-            digits = sum(c.isdigit() for c in token)
-            raise GameFormatError(
-                f"number literal of {digits} digits exceeds the limit of "
-                f"{sys.get_int_max_str_digits()} digits"
-            ) from None
-
-    return parse
-
-
-def _file_worth(raw) -> Fraction:
-    """The exact rational of a file worth: a number string, or a JSON number
-    that `_exact_number` already converted."""
-    # exact type tests: isinstance against Fraction is an ABC check
-    raw_type = type(raw)
-    if raw_type is str:
-        return token_to_fraction(raw)
-    if raw_type is int or raw_type is Fraction:
-        return Fraction(raw)
-    raise BadNumberError(raw)
+def _json_int(token: str) -> int:
+    """A JSON integer literal, read by the worth reader, which names the
+    digit limit when the literal passes it."""
+    return worth_pairs((token,))[0][0]
 
 
 def _file_worths(raws):
-    """The worths of a file, in one pass that reduces each to lowest terms
-    as it reads it through `str` as a plain p or p/q (a JSON int, a
-    Fraction from the float hook, or such a string). When all are, and none
-    is "p/0" or has a numerator past the digit limit, the int lists
-    (numerators, denominators) in entry order after the empty coalition's
-    0/1; else a lazy `_file_worth` map over them all, which refuses the
-    first fault with its own message when it reaches it."""
-    nums, dens = [0], [1]
-    put_num, put_den = nums.append, dens.append
-    plain = _PLAIN_WORTH.fullmatch
+    """The worths of a file: the reduced int lists (numerators,
+    denominators) of one `worth_pairs` pass, after the empty coalition's
+    0/1; or, when that pass refuses a worth, a lazy map of Fractions over
+    the same reader, which `build_table` walks to name the first fault in
+    entry order."""
     try:
-        for raw in raws:
-            match = plain(str(raw))
-            if match is None:
-                break
-            p, q = match.groups()
-            p, q = int(p), int(q or 1)
-            g = gcd(p, q)  # 0 only for 0/0, which the division refuses
-            put_num(p // g)
-            put_den(q // g)
-        else:
-            if 0 not in dens:
-                return nums, dens
-    except (ValueError, ZeroDivisionError):
-        pass
-    return map(_file_worth, raws)
+        return worth_pairs(chain((0,), raws))
+    except GameFormatError:
+        return map(worth_fraction, raws)
 
 
 def _pairs_to_dict(pairs):
@@ -137,8 +78,8 @@ def parse_game(text: str) -> TUGame | CostGame:
     try:
         doc = json.loads(
             text,
-            parse_float=_exact_number(Fraction),
-            parse_int=_exact_number(int),
+            parse_float=worth_fraction,
+            parse_int=_json_int,
             parse_constant=_reject_constant,
             object_pairs_hook=_pairs_to_dict,
         )

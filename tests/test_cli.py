@@ -76,6 +76,16 @@ def test_propensity_vector(data_dir):
     )
 
 
+def test_allocation_entries_may_carry_surrounding_spaces(data_dir):
+    spaced = structured(
+        "propensity", str(data_dir / "ex2.game"), "--allocation", "23/6, 29/6, 35/6"
+    )
+    tight = structured(
+        "propensity", str(data_dir / "ex2.game"), "--allocation", "23/6,29/6,35/6"
+    )
+    assert spaced == tight
+
+
 def test_propensity_rejects_inefficient_allocation(data_dir):
     code, out, err = run_cli(
         "propensity", str(data_dir / "ex2.game"), "--allocation", "3,4,5"
@@ -196,6 +206,25 @@ def test_overlong_integer_literal_is_exit_2(tmp_path):
     assert code == 2
     limit = sys.get_int_max_str_digits()
     assert f"5001 digits exceeds the limit of {limit} digits" in err
+
+
+def test_overlong_quoted_worth_is_exit_2(tmp_path):
+    bad = tmp_path / "long_quoted.game"
+    bad.write_text('{"kind": "tu", "n": 1, "values": {"1": "' + "7" * 5001 + '"}}')
+    code, out, err = run_cli("gately", str(bad))
+    assert code == 2
+    limit = sys.get_int_max_str_digits()
+    assert f"5001 digits exceeds the limit of {limit} digits" in err
+    assert len(err) < 200  # the message does not repeat the digits
+
+
+def test_overlong_allocation_entry_is_exit_2(data_dir):
+    allocation = "3,4," + "7" * 5001
+    code, out, err = run_cli("propensity", str(data_dir / "ex2.game"), "--allocation", allocation)
+    assert code == 2
+    limit = sys.get_int_max_str_digits()
+    assert f"5001 digits exceeds the limit of {limit} digits" in err
+    assert len(err) < 200
 
 
 def test_overlong_coalition_key_is_exit_2(tmp_path):

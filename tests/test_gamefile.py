@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,6 @@ from tugame import (
     serialize_game,
 )
 from tugame.game import coalition_keys
-from tugame.gamefile import _exact_number, _file_worth, _pairs_to_dict, _reject_constant
 from tugame.oracle import GAME_CLASSES
 
 
@@ -113,6 +113,27 @@ def test_bad_number_tokens():
         parse_game('{"kind": "tu", "n": 1, "values": {"1": NaN}}')
     with pytest.raises(BadNumberError):
         parse_game('{"kind": "tu", "n": 1, "values": {"1": true}}')
+
+
+def test_quoted_decimals_are_held_as_int_pairs():
+    decimals = {key: f"{mask - 8}.{mask:03}" for mask, key in enumerate(coalition_keys(4)[1:], 1)}
+    parsed = parse_game(json.dumps({"kind": "tu", "n": 4, "values": decimals}))
+    assert parsed._table is None
+    ratios = {key: f"{Fraction(t).numerator}/{Fraction(t).denominator}" for key, t in decimals.items()}
+    assert parsed == parse_game(json.dumps({"kind": "tu", "n": 4, "values": ratios}))
+    assert parsed.value(1) == Fraction(-7001, 1000)
+
+
+def test_the_digit_limit_is_read_when_a_worth_is_read():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for text in ('"%s"' % ("7" * 641), "7" * 641):
+            with pytest.raises(GameFormatError, match="641 digits exceeds the limit of 640 digits$"):
+                parse_game('{"kind": "tu", "n": 1, "values": {"1": %s}}' % text)
+        assert parse_game('{"kind": "tu", "n": 1, "values": {"1": %s}}' % ("7" * 640)).value(1) > 0
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_duplicate_key_rejected():
@@ -257,45 +278,75 @@ def test_multi_fault_input_reports_the_first_entry_fault(entries, error, message
     assert _both_ways(2, entries) == [(error, message)] * 2
 
 
-# Worths on the edge of the plain p or p/q form, as JSON text: strings that
-# the bulk pass must hand to the per-entry conversion, and bare literals.
-_EDGE_WORTHS = [
-    json.dumps(token)
-    for token in (
-        "1/2\n3/4", "3/", "/4", "3/-4", "3/+4", "+3/4", "007/3", "-0/5",
-        "\u0663/4", " 3/4 ", "1_000/3", "3/0",
-        "1" * ((sys.get_int_max_str_digits() or 4300) + 1) + "/3",
-        "14.5",
-    )
-] + ["14.5", "7", "true", "null", "[]", "{}"]
+_LIMIT = sys.get_int_max_str_digits()
 
-
-def _per_entry(values_text: str):
-    """The worths of a values object, each converted alone by `_file_worth`,
-    or the (type, message) of the first it refuses."""
-    raws = json.loads(
-        values_text,
-        parse_float=_exact_number(Fraction),
-        parse_int=_exact_number(int),
-        parse_constant=_reject_constant,
-        object_pairs_hook=_pairs_to_dict,
-    ).values()
-    try:
-        return tuple(map(_file_worth, raws))
-    except GameError as exc:
-        return type(exc), str(exc)
+# Worths on the edge of the grammar, as JSON text, each with its outcome:
+# the value it reads as, or the (type, message) of its refusal.
+_EDGE_WORTHS = {
+    **{
+        json.dumps(token): outcome
+        for token, outcome in (
+            ("1/2\n3/4", (BadNumberError, "bad number token '1/2\\n3/4'")),
+            ("3/", (BadNumberError, "bad number token '3/'")),
+            ("/4", (BadNumberError, "bad number token '/4'")),
+            ("3/-4", (BadNumberError, "bad number token '3/-4'")),
+            ("3/+4", (BadNumberError, "bad number token '3/+4'")),
+            ("+3/4", Fraction(3, 4)),
+            ("007/3", Fraction(7, 3)),
+            ("-0/5", Fraction(0)),
+            ("\u0663/4", Fraction(3, 4)),
+            (" 3/4 ", Fraction(3, 4)),
+            ("1_000/3", (BadNumberError, "bad number token '1_000/3'")),
+            ("3/0", (BadNumberError, "bad number token '3/0'")),
+            (
+                "1" * (_LIMIT + 1) + "/3",
+                (GameFormatError, f"number literal of {_LIMIT + 2} digits exceeds the limit of {_LIMIT} digits"),
+            ),
+            ("14.5", Fraction(29, 2)),
+            ("-0.5", Fraction(-1, 2)),
+            ("+0.5", Fraction(1, 2)),
+            ("0.50", Fraction(1, 2)),
+            ("1.", (BadNumberError, "bad number token '1.'")),
+            (".5", (BadNumberError, "bad number token '.5'")),
+            ("1.5/2", (BadNumberError, "bad number token '1.5/2'")),
+            # each digit run fits the limit, though the two together do not
+            ("1." + "0" * (_LIMIT - 1) + "1", 1 + Fraction(1, 10**_LIMIT)),
+        )
+    },
+    "14.5": Fraction(29, 2),
+    "7": Fraction(7),
+    "true": (BadNumberError, "bad number token True"),
+    "null": (BadNumberError, "bad number token None"),
+    "[]": (BadNumberError, "bad number token []"),
+    "{}": (BadNumberError, "bad number token {}"),
+}
 
 
 @pytest.mark.parametrize("where", ["alone", "first", "middle", "last"])
-@pytest.mark.parametrize("token", _EDGE_WORTHS)
-def test_bulk_worths_agree_with_per_entry_conversion(token, where):
+@pytest.mark.parametrize("token", _EDGE_WORTHS, ids=lambda token: token[:24])
+def test_edge_worths_read_the_same_through_the_file_and_the_constructor(token, where):
     n = 1 if where == "alone" else 13
     entries = [f"{json.dumps(key)}: {json.dumps(worth)}" for key, worth in _worths(n).items()]
     at = {"alone": 0, "first": 0, "middle": len(entries) // 2, "last": -1}[where]
-    entries[at] = entries[at].split(": ")[0] + ": " + token
+    key = entries[at].split(": ")[0]
+    entries[at] = key + ": " + token
     values_text = "{%s}" % ", ".join(entries)
-    try:
-        parsed = parse_game('{"kind": "tu", "n": %d, "values": %s}' % (n, values_text)).table[1:]
-    except GameError as exc:
-        parsed = type(exc), str(exc)
-    assert parsed == _per_entry(values_text)
+    outcome = _EDGE_WORTHS[token]
+    results = []
+    for build in (
+        lambda: parse_game('{"kind": "tu", "n": %d, "values": %s}' % (n, values_text)),
+        # a bare decimal reaches the constructor as a Decimal, its exact value
+        lambda: TUGame(n, json.loads(values_text, parse_float=Decimal)),
+    ):
+        try:
+            results.append(build().table)
+        except GameError as exc:
+            results.append((type(exc), str(exc)))
+        except TypeError:  # the constructor's refusal of null, [] and {}
+            assert token in ("null", "[]", "{}")
+    assert results[0] == results[-1]
+    if isinstance(outcome, Fraction):
+        assert results[0][as_mask(json.loads(key), n)] == outcome
+        assert results[0] == TUGame(n, _worths(n) | {json.loads(key): outcome}).table
+    else:
+        assert results[0] == outcome
