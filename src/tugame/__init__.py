@@ -1,10 +1,11 @@
 """Exact solution concepts for transferable-utility games.
 
-Games carry their full characteristic function as `fractions.Fraction`
-worths, one per nonempty coalition, and every computation is exact: the
-Gately point with its uniqueness gate, the equal propensity to disrupt,
-the tau-value, and the ACA cost-allocation method, plus the normalizations
-that connect them and a brute-force grid oracle for verification.
+Games hold their full characteristic function as reduced int pairs, one
+per coalition, and hand out `fractions.Fraction` worths. Every computation
+is exact: the Gately point with its uniqueness gate, the equal propensity
+to disrupt, the tau-value, and the ACA cost-allocation method, plus the
+normalizations that connect them and a brute-force grid oracle for
+verification.
 """
 
 from .bounds import minimal_rights, remainder, utopia_payoffs

@@ -9,14 +9,15 @@ through one builder, `build_table`, which places the worths in one pass
 when the keys are the int masks or the canonical keys in mask order.
 
 Every game holds its worths as two int lists, numerators and denominators
-in lowest terms: a file read in bulk and every affine map
-(`transforms.affine_table`) make them without a `Fraction` per coalition;
-the constructor reads them off the Fractions it builds, and keeps those.
-Any other game builds its Fractions on the first read of `table`. The
-kernels, the game-file writer, equality and hashing read the ints, and the
-kernels decide close calls on them by cross-multiplication (`_at_least`);
-the API's reads of single worths build one Fraction each when no table is
-kept, so a file goes through the CLI without a `Fraction` per coalition.
+in lowest terms, its one store: `build_table` makes them with the reader
+it is given (`worth_pairs` for a file, `split_worths` for the
+constructor), and every affine map (`transforms.affine_table`) without a
+`Fraction` per coalition. A game builds its tuple of Fractions only on the
+first read of `table`, and keeps it. The kernels, the game-file writer,
+equality and hashing read the ints, and the kernels decide close calls on
+them by cross-multiplication (`_at_least`); the API's reads of single
+worths build one Fraction each, so a file goes through the CLI without a
+`Fraction` per coalition.
 
 A game stores, each built on first use, its minimal rights
 (`bounds.minimal_rights`) and one integer view (`_view`) of its
@@ -35,7 +36,7 @@ equalities that rounding would corrupt, so decimal text is converted from
 its digit string. One reader, `worth_pairs`, holds the number grammar of
 worth text (a sign, digits, then an optional ".digits" or "/digits",
 surrounding whitespace tolerated) and the digit limit on its conversion;
-`to_fraction`, the game file's JSON number hooks and its bulk pass all
+`to_fraction`, the game file's JSON number hooks and its table build all
 read numbers through it.
 """
 
@@ -45,8 +46,8 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from functools import cache, partial
-from itertools import islice, repeat
+from functools import cache
+from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, attrgetter, floordiv, lshift, mul, rshift, sub
 from typing import Iterator, Mapping
@@ -71,7 +72,7 @@ MAX_PLAYERS = 16
 _VIEW_BITS = 64
 _VIEW_LIMIT = 1 << _VIEW_BITS
 
-ZERO = Fraction(0)
+_NUMERATOR, _DENOMINATOR = attrgetter("numerator"), attrgetter("denominator")
 
 # The worth grammar, quoted or bare: a sign, digits, then an optional
 # ".digits" or "/digits"; no exponent. A digit is any Unicode decimal digit
@@ -211,7 +212,8 @@ def as_mask(coalition, n: int) -> int:
         raise PlayerOutOfRangeError(f"invalid coalition {coalition!r}") from None
     mask = 0
     for player in players:
-        if not isinstance(player, int) or isinstance(player, bool):
+        # the exact type test first: the walk of `build_table` checks every key
+        if type(player) is not int and (not isinstance(player, int) or isinstance(player, bool)):
             raise PlayerOutOfRangeError(f"invalid player index {player!r}")
         if player < 1 or player > n:
             raise PlayerOutOfRangeError(
@@ -330,33 +332,29 @@ def check_player_count(n) -> None:
         )
 
 
-def split_worths(table) -> tuple[list, list]:
-    """The int lists (numerators, denominators) of a sequence of Fractions,
-    in two C-level passes: lowest terms, as every Fraction holds them."""
-    return list(map(attrgetter("numerator"), table)), list(map(attrgetter("denominator"), table))
+def split_worths(worths) -> tuple[list, list]:
+    """The int lists (numerators, denominators), in lowest terms, of worths
+    that `to_fraction` accepts, raising at the first it refuses."""
+    table = list(map(to_fraction, worths))
+    return list(map(_NUMERATOR, table)), list(map(_DENOMINATOR, table))
 
 
-def build_table(n: int, values: Mapping, convert) -> tuple:
-    """The mask-indexed worth table of an n-player game, validated, as the
-    pair (ints, table) a game stores: its int lists (numerators,
-    denominators) in lowest terms, and its tuple of Fractions when the
-    builder made them, else None.
+def build_table(n: int, values: Mapping, read) -> tuple[list, list]:
+    """The mask-indexed worths of an n-player game, validated, as the int
+    lists (numerators, denominators) in lowest terms that a game stores.
 
-    The one builder behind the game constructor and `parse_game`.
-    `convert(values.values())` gives the worths in entry order and raises
-    only on reaching the first it refuses: a lazy map of Fractions, or the
-    int lists of a bulk pass that ran without fault, entry 0 for the empty
-    coalition first, as `gamefile` builds for file tokens. When the keys
-    are the canonical key strings or the int masks (exactly int: 1.0 and
-    True equal 1) of every nonempty coalition in mask order, none is at
-    fault, so the first worth refused is the first fault, and a bulk
-    pass's ints are kept as they are. Otherwise the entries are walked one
-    at a time, key then worth, to name the first fault: a string key is
-    looked up among the canonical keys (indexed at the first string key),
-    and any other key, or a string that misses them, goes through
-    `as_mask`, which says what is wrong with it. The empty coalition may
-    appear only with worth 0, and no coalition twice. Every nonempty
-    coalition must appear.
+    The one builder behind the game constructor (`read` is `split_worths`)
+    and `parse_game` (`worth_pairs`). `read(worths)` gives the int lists of
+    worths and raises at the first it refuses. When the keys are the
+    canonical key strings or the int masks (exactly int: 1.0 and True
+    equal 1) of every nonempty coalition in mask order, none is at fault,
+    so one `read` pass over the worths, after the empty coalition's 0,
+    names the first fault. Otherwise the entries are walked one at a time,
+    key then worth, to name the first fault: a string key is looked up
+    among the canonical keys (indexed at the first string key), and any
+    other key, or a string that misses them, goes through `as_mask`, which
+    says what is wrong with it. The empty coalition may appear only with
+    worth 0, and no coalition twice. Every nonempty coalition must appear.
     """
     check_player_count(n)
     keys = tuple(values)
@@ -365,38 +363,33 @@ def build_table(n: int, values: Mapping, convert) -> tuple:
         kinds == {str} and keys == coalition_keys(n)[1:]
         or kinds == {int} and keys == tuple(range(1, 1 << n))
     )
-    del keys  # not held while the worths are converted
-    worths = convert(values.values())
-    if type(worths) is tuple:  # a bulk pass's (numerators, denominators)
-        if in_order:
-            return worths, None
-        worths = islice(map(Fraction, *worths), 1, None)
-    elif in_order:
-        table = (ZERO, *worths)
-        return split_worths(table), table
-    worths = iter(worths)
+    del keys  # not held while the worths are read
+    if in_order:
+        return read(chain((0,), values.values()))
     index = None
-    table: list[Fraction | None] = [None] * (1 << n)
-    table[0] = ZERO
-    for coalition, _ in values.items():
+    nums: list[int | None] = [None] * (1 << n)
+    dens = [1] * (1 << n)
+    nums[0] = 0
+    for coalition, worth in values.items():
         mask = None
         if type(coalition) is str:
             index = index or dict(zip(coalition_keys(n), range(1 << n)))
             mask = index.get(coalition)
         if mask is None:
             mask = as_mask(coalition, n)
-        worth = next(worths)
+        (p,), (q,) = read((worth,))
         if mask == 0:
-            if worth != 0:
-                raise GameError(f"the empty coalition must be worth 0, got {exact_text(worth)}")
-        elif table[mask] is not None:
+            if p:
+                text = exact_text(Fraction(p, q))
+                raise GameError(f"the empty coalition must be worth 0, got {text}")
+        elif nums[mask] is not None:
             raise DuplicateCoalitionError(coalition_key(mask))
         else:
-            table[mask] = worth
-    for mask, worth in enumerate(table):
-        if worth is None:
+            nums[mask], dens[mask] = p, q
+    for mask, p in enumerate(nums):
+        if p is None:
             raise MissingCoalitionError(coalition_key(mask))
-    return split_worths(table), tuple(table)
+    return nums, dens
 
 
 class _CharacteristicGame:
@@ -406,29 +399,26 @@ class _CharacteristicGame:
 
     # `_ints` is the one store: the (numerators, denominators) of every
     # worth, in lowest terms. Caches built on first use: `_table` the
-    # Fractions (kept from the start by the constructor and a walked file,
-    # whose ints are then two 2**n-entry lists of pointers, 128 KB at
-    # n = 13 and 1 MB at n = 16), `_scaled` the view of `_view`, `_rights`
-    # the minimal rights of `bounds.minimal_rights`. Equality and hashing
-    # read n and the ints.
+    # Fractions of `table`, `_scaled` the view of `_view`, `_rights` the
+    # minimal rights of `bounds.minimal_rights`. Equality and hashing read
+    # n and the ints.
     __slots__ = ("_n", "_ints", "_table", "_scaled", "_rights")
 
     def __init__(self, n: int, values: Mapping):
-        self._ints, self._table = build_table(n, values, partial(map, to_fraction))
+        self._ints = build_table(n, values, split_worths)
         self._n = n
+        self._table = None
 
     @classmethod
-    def _from_table(cls, n: int, ints, table=None):
+    def _from_table(cls, n: int, ints):
         """Internal constructor for games already in validated table form:
-        the int lists in lowest terms, and their Fractions if already built."""
+        the int lists (numerators, denominators) in lowest terms."""
         game = object.__new__(cls)
-        game._n, game._ints, game._table = n, ints, table
+        game._n, game._ints, game._table = n, ints, None
         return game
 
     def _worth(self, mask: int) -> Fraction:
         """One coalition's worth, for the API's few reads: builds no table."""
-        if self._table is not None:
-            return self._table[mask]
         nums, dens = self._ints
         return Fraction(nums[mask], dens[mask])
 

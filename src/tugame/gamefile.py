@@ -14,18 +14,19 @@ JSON decimal literals, or strings like "29/2" or "14.5". Quoted or bare,
 a number is read by one reader, `game.worth_pairs`, which holds the one
 grammar (no exponent form) and the digit limit, and converts from the
 digit text, so decimals stay exact: "14.5" becomes 29/2, never a binary
-float. One pass of that reader turns every worth of a file into a
-(numerator, denominator) pair of ints in lowest terms, which the game
-keeps as they are: no `Fraction` is built. When it refuses a worth, the
-file is converted worth by worth, which names the first fault. The writer
-takes each worth's text from the same two ints.
+float. That reader turns every worth of a file into a (numerator,
+denominator) pair of ints in lowest terms, which the game keeps as they
+are: no `Fraction` is built. Keys in mask order take one pass of it over
+all worths; any other layout is read one entry at a time, key then worth,
+which names the first fault. The writer takes each worth's text from the
+same two ints.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from itertools import chain, islice
+from itertools import islice
 
 from .errors import BadNumberError, DigitLimitError, DuplicateCoalitionError, GameFormatError
 from .game import CostGame, TUGame, build_table, coalition_keys, worth_fraction, worth_pairs
@@ -41,18 +42,6 @@ def _json_int(token: str) -> int:
     """A JSON integer literal, read by the worth reader, which names the
     digit limit when the literal passes it."""
     return worth_pairs((token,))[0][0]
-
-
-def _file_worths(raws):
-    """The worths of a file: the reduced int lists (numerators,
-    denominators) of one `worth_pairs` pass, after the empty coalition's
-    0/1; or, when that pass refuses a worth, a lazy map of Fractions over
-    the same reader, which `build_table` walks to name the first fault in
-    entry order."""
-    try:
-        return worth_pairs(chain((0,), raws))
-    except GameFormatError:
-        return map(worth_fraction, raws)
 
 
 def _pairs_to_dict(pairs):
@@ -110,7 +99,7 @@ def parse_game(text: str) -> TUGame | CostGame:
     if not isinstance(raw_values, dict):
         raise GameFormatError('"values" must be an object')
     cls = TUGame if kind == "tu" else CostGame
-    return cls._from_table(n, *build_table(n, raw_values, _file_worths))
+    return cls._from_table(n, build_table(n, raw_values, worth_pairs))
 
 
 def dump_json(doc, **options) -> str:

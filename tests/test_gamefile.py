@@ -207,6 +207,12 @@ def test_constructor_and_parser_build_the_same_table(cls, n):
         },
     ):
         assert cls(n, values) == parsed
+    # the file reader walks string keys out of order one worth at a time
+    assert parsed._table is None
+    for values in (dict(shuffled), dict(reversed(worths.items()))):
+        walked = parse_game(json.dumps({"kind": cls.kind, "n": n, "values": values}))
+        assert walked == parsed
+        assert walked._table is None
 
 
 def _both_ways(n: int, entries: list) -> list:

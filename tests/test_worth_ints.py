@@ -1,8 +1,7 @@
 """Every game holds its worths as reduced int lists, whichever way it was
-made: games read from a file in bulk and made by an affine map against
-constructed ones, which also keep their Fractions: the same answers, the
-same bytes, no table of Fractions built on the file path, and ties decided
-on the ints."""
+made: games read from a file and made by an affine map against constructed
+ones: the same answers, the same bytes, no table of Fractions built until
+`table` is read, and ties decided on the ints."""
 
 import json
 import math
@@ -71,8 +70,7 @@ def _file_text(kind: str, table: list, rng: random.Random) -> str:
 
 
 def _built(cls, n: int, table: list):
-    """The game of a table through the constructor, which keeps its
-    Fractions beside the ints."""
+    """The game of a table through the constructor."""
     return cls(n, dict(enumerate(table[1:], start=1)))
 
 
@@ -147,9 +145,9 @@ def test_affine_maps_match_the_literal_formula(n):
 
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_every_source_holds_reduced_ints_and_builds_fractions_on_first_read(n):
-    """The constructor and a walked file keep the Fractions they built; a
-    file read in bulk, a sampler's game and an affine map's build none
-    until `table` is read, and then keep them."""
+    """The constructor, a walked file, a file read in bulk, a sampler's game
+    and an affine map's build no Fractions until `table` is read, not for
+    equality, hashing, single worths or the writer, and then keep them."""
     rng = random.Random(300 + n)
     for table in _tables(n):
         text = _file_text("tu", table, rng)
@@ -157,25 +155,25 @@ def test_every_source_holds_reduced_ints_and_builds_fractions_on_first_read(n):
         doc["values"] = dict(reversed(doc["values"].items()))
         singles = [table[1 << i] for i in range(n)]
         sources = {
-            "constructor": (_built(TUGame, n, table), table, True),
-            "walked file": (parse_game(json.dumps(doc)), table, n > 1),
-            "bulk file": (parse_game(text), table, False),
+            "constructor": (_built(TUGame, n, table), table),
+            "walked file": (parse_game(json.dumps(doc)), table),
+            "bulk file": (parse_game(text), table),
             "affine map": (
                 zero_normalize(_built(TUGame, n, table)),
                 [Fraction(p, q) for p, q in zip(*_literal(table, Fraction(1), [-v for v in singles]))],
-                False,
             ),
         }
-        for name, (game, worths, kept) in sources.items():
+        if n > 1:
+            sampled = generate_game(n, min(n, 4), "superadditive")
+            sources["sampler"] = (sampled, list(map(Fraction, *sampled._ints)))
+        for name, (game, worths) in sources.items():
+            assert game == game and hash(game) == hash(game), name
+            assert game.grand_value == worths[-1], name
+            assert parse_game(serialize_game(game)) == game, name
+            assert game._table is None, name
             _assert_one_store(game, worths)
-            assert (game._table is not None) is kept, name
-            assert game.table == tuple(worths)
-            assert game._table is game.table, name
-    if n > 1:
-        sampled = generate_game(n, min(n, 4), "superadditive")
-        assert sampled._table is None
-        _assert_one_store(sampled, sampled.table)
-        assert sampled._table is sampled.table
+            assert game.table == tuple(worths), name
+            assert game.table is game.table, name
 
 
 def test_ties_are_decided_on_the_ints(monkeypatch):
@@ -257,25 +255,36 @@ def files16(tmp_path_factory):
 
 @pytest.mark.parametrize("row", cli._COMMANDS, ids=[row[0] for row in cli._COMMANDS])
 def test_cli_never_builds_the_fractions_of_an_n16_file(files16, monkeypatch, row):
+    """With `table` made to raise, every subcommand answers on an n = 16
+    file and renders its report both ways: neither the parsed game nor a
+    game derived from it (the savings game, either normalization) builds
+    its Fractions."""
     paths, allocation = files16
     name, kind, *_ = row
-    extra = {
-        "propensity": ["--allocation", allocation],
-        "normalize": ["--mode", "zero-one"],
-        "oracle minmax": ["--resolution", "20"],
-    }.get(name, [])
-    args = cli.build_parser().parse_args([*name.split(), str(paths[kind.lower()]), *extra])
+    extras = {
+        "propensity": [["--allocation", allocation]],
+        "normalize": [["--mode", "zero"], ["--mode", "zero-one"]],
+        "oracle minmax": [["--resolution", "20"]],
+    }.get(name, [[]])
     parsed = []
 
     def record(text):
         parsed.append(parse_game(text))
         return parsed[-1]
 
+    def refuse(game):
+        raise AssertionError("the CLI built a table of Fractions")
+
     monkeypatch.setattr(cli, "parse_game", record)
-    if name == "oracle minmax":  # refused at n = 16, after the digest
-        with pytest.raises(cli._CliError):
-            cli._answer(args)
-    else:
-        cli._answer(args)
-    assert len(parsed) == 1
-    assert parsed[0]._table is None
+    monkeypatch.setattr(_CharacteristicGame, "table", property(refuse))
+    for extra in extras:
+        args = cli.build_parser().parse_args([*name.split(), str(paths[kind.lower()]), *extra])
+        if name == "oracle minmax":  # refused at n = 16, after the digest
+            with pytest.raises(cli._CliError):
+                cli._answer(args)
+        else:
+            report = cli._answer(args)
+            for fmt in ("text", "structured"):
+                cli._render(report, fmt)
+    assert len(parsed) == len(extras)
+    assert all(game._table is None for game in parsed)
