@@ -9,15 +9,14 @@ through one builder, `build_table`, which places the worths in one pass
 when the keys are the int masks or the canonical keys in mask order.
 
 Every game holds its worths as two int lists, numerators and denominators
-in lowest terms, its one store: `build_table` makes them with the reader
-it is given (`worth_pairs` for a file, `split_worths` for the
-constructor), and every affine map (`transforms.affine_table`) without a
-`Fraction` per coalition. A game builds its tuple of Fractions only on the
-first read of `table`, and keeps it. The kernels, the game-file writer,
-equality and hashing read the ints, and the kernels decide close calls on
-them by cross-multiplication (`_at_least`); the API's reads of single
-worths build one Fraction each, so a file goes through the CLI without a
-`Fraction` per coalition.
+in lowest terms, its one store: `build_table` makes them with the one
+worth reader, `worth_pairs`, and every affine map
+(`transforms.affine_table`) without a `Fraction` per coalition. A game
+builds its tuple of Fractions only on the first read of `table`, and keeps
+it. The kernels, the game-file writer, equality and hashing read the ints,
+and the kernels decide close calls on them by cross-multiplication
+(`_at_least`); the API's reads of single worths build one Fraction each,
+so a file goes through the CLI without a `Fraction` per coalition.
 
 A game stores, each built on first use, its minimal rights
 (`bounds.minimal_rights`) and one integer view (`_view`) of its
@@ -33,11 +32,12 @@ entries is off by less than k.
 Every worth a game hands out is a `fractions.Fraction`. Binary floats are
 refused on input: the degeneracy checks downstream hinge on knife-edge
 equalities that rounding would corrupt, so decimal text is converted from
-its digit string. One reader, `worth_pairs`, holds the number grammar of
-worth text (a sign, digits, then an optional ".digits" or "/digits",
-surrounding whitespace tolerated) and the digit limit on its conversion;
-`to_fraction`, the game file's JSON number hooks and its table build all
-read numbers through it.
+its digit string. One reader, `worth_pairs`, converts every worth type any
+caller accepts: it holds the number grammar of worth text (a sign, digits,
+then an optional ".digits" or "/digits", surrounding whitespace tolerated)
+and the digit limits on text and Decimals. `to_fraction`, the game file's
+JSON number hooks, the table builder and the samplers of `oracle` all read
+numbers through it.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, repeat
 from math import gcd, lcm
-from operator import add, attrgetter, floordiv, lshift, mul, rshift, sub
+from operator import add, floordiv, lshift, mul, rshift, sub
 from typing import Iterator, Mapping
 
 from .errors import (
@@ -72,8 +72,6 @@ MAX_PLAYERS = 16
 _VIEW_BITS = 64
 _VIEW_LIMIT = 1 << _VIEW_BITS
 
-_NUMERATOR, _DENOMINATOR = attrgetter("numerator"), attrgetter("denominator")
-
 # The worth grammar, quoted or bare: a sign, digits, then an optional
 # ".digits" or "/digits"; no exponent. A digit is any Unicode decimal digit
 # (\d), each of which int() converts; the ASCII range listed first spares
@@ -84,21 +82,24 @@ _WORTH_TOKEN = re.compile(r"([+-]?[0-9\d]+)(?:\.([0-9\d]+)|/([0-9\d]+))?")
 
 def worth_pairs(raws) -> tuple[list, list]:
     """The (numerators, denominators) int lists, in lowest terms, of worths
-    that are strings of the worth grammar (surrounding whitespace is
-    tolerated), exact ints or exact Fractions: "3", "-7/2" and "14.5" (from
-    its digit text, never through a float) give 3/1, -7/2 and 29/2.
+    that are ints, Fractions, finite Decimals or strings of the worth
+    grammar (surrounding whitespace tolerated), subclasses included: "3",
+    "-7/2" and "14.5" (from its digit text, never through a float) give
+    3/1, -7/2 and 29/2.
 
-    Raises at the first worth it refuses: a BadNumberError for any other
-    value or text, or a zero denominator, and a GameFormatError naming the
-    limit when a digit run is longer than `sys.get_int_max_str_digits()`,
-    the most digits Python converts from text to int. Each run is converted
-    on its own, as `Fraction` converts a decimal.
+    Raises at the first worth it refuses: a TypeError for a float; a
+    BadNumberError for a bool, a non-finite Decimal, one whose exact value
+    could need more digits than `sys.get_int_max_str_digits()`, a zero
+    denominator, or any other value or text; and a GameFormatError naming
+    the limit when a digit run of text is longer than that, the most digits
+    Python converts from text to int. Each run is converted on its own, as
+    `Fraction` converts a decimal.
     """
     nums, dens = [], []
     put_num, put_den = nums.append, dens.append
     match = _WORTH_TOKEN.fullmatch
     for raw in raws:
-        # exact type tests: isinstance against Fraction is an ABC check
+        # exact type tests first: isinstance against Fraction is an ABC check
         kind = type(raw)
         if kind is str:
             token = match(raw.strip())
@@ -127,6 +128,24 @@ def worth_pairs(raws) -> tuple[list, list]:
             p, q = raw, 1
         elif kind is Fraction:
             p, q = raw.numerator, raw.denominator
+        elif isinstance(raw, str):  # a subclass reads as its text
+            (p,), (q,) = worth_pairs((str(raw),))
+        elif isinstance(raw, (int, Fraction)) and kind is not bool:
+            p, q = raw.numerator, raw.denominator
+        elif isinstance(raw, Decimal) and raw.is_finite():
+            # The exact value has at most len(digits) + |exponent| digits;
+            # past the int-to-text limit a short literal such as 1E+10000000
+            # would otherwise build an integer of unbounded size.
+            _, digits, exponent = raw.as_tuple()
+            limit = sys.get_int_max_str_digits()
+            if limit and len(digits) + abs(exponent) > limit:
+                raise BadNumberError(raw)
+            p, q = raw.as_integer_ratio()
+        elif isinstance(raw, float):
+            raise TypeError(
+                f"refusing float {raw!r}: pass an int, Fraction, or a "
+                f"string like '29/2' or '14.5' to keep arithmetic exact"
+            )
         else:
             raise BadNumberError(raw)
         put_num(p)
@@ -134,46 +153,14 @@ def worth_pairs(raws) -> tuple[list, list]:
     return nums, dens
 
 
-def worth_fraction(raw) -> Fraction:
-    """The exact rational of one worth, read by `worth_pairs`."""
-    (p,), (q,) = worth_pairs((raw,))
-    return Fraction(p, q)
-
-
 def to_fraction(value) -> Fraction:
-    """Convert a worth to an exact Fraction, refusing binary floats.
-
-    Accepts int, Fraction, decimal.Decimal, and strings of the worth
-    grammar of `worth_pairs`, such as "3", "-7/2" or "14.5". A Decimal
-    whose exact value could need more digits than
-    `sys.get_int_max_str_digits()` is a BadNumberError.
-    """
-    # the exact type test first: isinstance against Fraction is an ABC check
-    if type(value) is Fraction or isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise BadNumberError(value)
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Decimal):
-        if not value.is_finite():
-            raise BadNumberError(value)
-        # The exact value has at most len(digits) + |exponent| digits; past
-        # the int-to-text limit a short literal such as 1E+10000000 would
-        # otherwise build an integer of unbounded size.
-        _, digits, exponent = value.as_tuple()
-        limit = sys.get_int_max_str_digits()
-        if limit and len(digits) + abs(exponent) > limit:
-            raise BadNumberError(value)
-        return Fraction(value)
-    if isinstance(value, float):
-        raise TypeError(
-            f"refusing float {value!r}: pass an int, Fraction, or a "
-            f"string like '29/2' or '14.5' to keep arithmetic exact"
-        )
-    if isinstance(value, str):
-        return worth_fraction(str(value))  # str(): the reader takes exact strs
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    """Convert a worth to an exact Fraction with `worth_pairs`, which
+    refuses binary floats and bools. A value that is not a number or a
+    string (None, a complex) is a TypeError."""
+    if not isinstance(value, (str, int, Fraction, Decimal, float)):
+        raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    (p,), (q,) = worth_pairs((value,))
+    return Fraction(p, q)
 
 
 def exact_text(value: Fraction) -> str:
@@ -224,7 +211,10 @@ def as_mask(coalition, n: int) -> int:
 
 
 def coalition_members(mask: int) -> tuple[int, ...]:
-    """1-based player indices in the mask, ascending."""
+    """1-based player indices in the mask, ascending. A negative mask names
+    no players and is a PlayerOutOfRangeError."""
+    if mask < 0:
+        raise PlayerOutOfRangeError(f"mask {quoted(mask)} is negative")
     members = []
     player = 1
     while mask:
@@ -332,23 +322,15 @@ def check_player_count(n) -> None:
         )
 
 
-def split_worths(worths) -> tuple[list, list]:
-    """The int lists (numerators, denominators), in lowest terms, of worths
-    that `to_fraction` accepts, raising at the first it refuses."""
-    table = list(map(to_fraction, worths))
-    return list(map(_NUMERATOR, table)), list(map(_DENOMINATOR, table))
-
-
-def build_table(n: int, values: Mapping, read) -> tuple[list, list]:
+def build_table(n: int, values: Mapping) -> tuple[list, list]:
     """The mask-indexed worths of an n-player game, validated, as the int
     lists (numerators, denominators) in lowest terms that a game stores.
 
-    The one builder behind the game constructor (`read` is `split_worths`)
-    and `parse_game` (`worth_pairs`). `read(worths)` gives the int lists of
-    worths and raises at the first it refuses. When the keys are the
-    canonical key strings or the int masks (exactly int: 1.0 and True
-    equal 1) of every nonempty coalition in mask order, none is at fault,
-    so one `read` pass over the worths, after the empty coalition's 0,
+    The one builder behind the game constructor and `parse_game`; every
+    worth is read by `worth_pairs`. When the keys are the canonical key
+    strings or the int masks (exactly int: 1.0 and True equal 1) of every
+    nonempty coalition in mask order, none is at fault, so one
+    `worth_pairs` pass over the worths, after the empty coalition's 0,
     names the first fault. Otherwise the entries are walked one at a time,
     key then worth, to name the first fault: a string key is looked up
     among the canonical keys (indexed at the first string key), and any
@@ -365,7 +347,7 @@ def build_table(n: int, values: Mapping, read) -> tuple[list, list]:
     )
     del keys  # not held while the worths are read
     if in_order:
-        return read(chain((0,), values.values()))
+        return worth_pairs(chain((0,), values.values()))
     index = None
     nums: list[int | None] = [None] * (1 << n)
     dens = [1] * (1 << n)
@@ -377,7 +359,7 @@ def build_table(n: int, values: Mapping, read) -> tuple[list, list]:
             mask = index.get(coalition)
         if mask is None:
             mask = as_mask(coalition, n)
-        (p,), (q,) = read((worth,))
+        (p,), (q,) = worth_pairs((worth,))
         if mask == 0:
             if p:
                 text = exact_text(Fraction(p, q))
@@ -405,7 +387,7 @@ class _CharacteristicGame:
     __slots__ = ("_n", "_ints", "_table", "_scaled", "_rights")
 
     def __init__(self, n: int, values: Mapping):
-        self._ints = build_table(n, values, split_worths)
+        self._ints = build_table(n, values)
         self._n = n
         self._table = None
 

@@ -29,7 +29,7 @@ import sys
 from itertools import islice
 
 from .errors import BadNumberError, DigitLimitError, DuplicateCoalitionError, GameFormatError
-from .game import CostGame, TUGame, build_table, coalition_keys, worth_fraction, worth_pairs
+from .game import CostGame, TUGame, build_table, coalition_keys, to_fraction, worth_pairs
 
 _TOP_LEVEL_KEYS = {"kind", "n", "values"}
 
@@ -67,7 +67,7 @@ def parse_game(text: str) -> TUGame | CostGame:
     try:
         doc = json.loads(
             text,
-            parse_float=worth_fraction,
+            parse_float=to_fraction,
             parse_int=_json_int,
             parse_constant=_reject_constant,
             object_pairs_hook=_pairs_to_dict,
@@ -99,7 +99,7 @@ def parse_game(text: str) -> TUGame | CostGame:
     if not isinstance(raw_values, dict):
         raise GameFormatError('"values" must be an object')
     cls = TUGame if kind == "tu" else CostGame
-    return cls._from_table(n, build_table(n, raw_values, worth_pairs))
+    return cls._from_table(n, build_table(n, raw_values))
 
 
 def dump_json(doc, **options) -> str:

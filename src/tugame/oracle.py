@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from .bounds import utopia_payoffs
 from .errors import GameError, GenerationFailedError, TooManyPlayersError
-from .game import CostGame, TUGame, quoted, split_worths
+from .game import CostGame, TUGame, quoted, worth_pairs
 from .properties import (
     GameClassification,
     essential_surplus,
@@ -324,7 +324,7 @@ def _sample_superadditive(rng: random.Random, n: int) -> TUGame:
     _fill_superadditive(rng, table, by_size, 0)
     full = len(table) - 1
     table[full] = _superadditive_floor(table, full) + _rand_fraction(rng, 1, 8)
-    return TUGame._from_table(n, split_worths(table))
+    return TUGame._from_table(n, worth_pairs(table))
 
 
 def _sample_quasibalanced(rng: random.Random, n: int) -> TUGame | None:
@@ -338,7 +338,7 @@ def _sample_quasibalanced(rng: random.Random, n: int) -> TUGame | None:
     if n == 2:
         # d* = 1 for every essential two-player game; no window to tune
         table[full] = singles_sum + _rand_fraction(rng, 1, 8)
-        return TUGame._from_table(n, split_worths(table))
+        return TUGame._from_table(n, worth_pairs(table))
 
     floor = _superadditive_floor(table, full)
     low = max(floor, near_grand_sum / (n - 1))
@@ -346,7 +346,7 @@ def _sample_quasibalanced(rng: random.Random, n: int) -> TUGame | None:
     if low > high:
         return None
     table[full] = low + (high - low) * Fraction(rng.randint(0, 8), 8)
-    return TUGame._from_table(n, split_worths(table))
+    return TUGame._from_table(n, worth_pairs(table))
 
 
 def _sample_weakly_constant_sum(rng: random.Random, n: int) -> TUGame:
@@ -367,7 +367,7 @@ def _sample_weakly_constant_sum(rng: random.Random, n: int) -> TUGame:
     for coalition_size in range(2, n - 1):
         for mask in by_size[coalition_size]:
             table[mask] = _rand_fraction(rng, -4, 8)
-    return TUGame._from_table(n, split_worths(table))
+    return TUGame._from_table(n, worth_pairs(table))
 
 
 def _sample_arbitrary(rng: random.Random, n: int) -> TUGame:
@@ -377,7 +377,7 @@ def _sample_arbitrary(rng: random.Random, n: int) -> TUGame:
             table[mask] = _rand_fraction(rng, -6, 12)
     singles_sum = sum(table[mask] for mask in by_size[1])
     table[len(table) - 1] = singles_sum + _rand_fraction(rng, 1, 10)
-    return TUGame._from_table(n, split_worths(table))
+    return TUGame._from_table(n, worth_pairs(table))
 
 
 _SAMPLERS = {
@@ -399,8 +399,11 @@ def _in_class(game: TUGame, game_class: str) -> bool:
 
 
 def _seeded(label: str, n: int, seed) -> random.Random:
-    """The generator for one (label, n, seed), seeded from their text; a
-    seed past the int-to-text digit limit has none and is a GameError."""
+    """The generator for one (label, n, seed), seeded from their text. An n
+    that is not an int in 2..4 (a bool is not), or a seed past the
+    int-to-text digit limit, has none and is a GameError."""
+    if isinstance(n, bool) or not isinstance(n, int) or not 2 <= n <= 4:
+        raise GameError(f"generator supports 2..4 players, got {quoted(n)}")
     try:
         return random.Random(f"tugame:{label}:{n}:{seed}")
     except ValueError:
@@ -419,8 +422,6 @@ def generate_game(seed: int, n: int, game_class: str = "arbitrary") -> TUGame:
     """
     if game_class not in GAME_CLASSES:
         raise GameError(f"unknown game class {quoted(game_class, repr)}; pick from {GAME_CLASSES}")
-    if n < 2 or n > 4:
-        raise GameError(f"generator supports 2..4 players, got {quoted(n)}")
     rng = _seeded(game_class, n, seed)
     sampler = _SAMPLERS[game_class]
     for _ in range(_RETRY_CAP):
@@ -441,8 +442,6 @@ def generate_cost_game(seed: int, n: int) -> CostGame:
     c(S) = sum of c_i over S minus the normalized savings. The resulting
     cost game is subadditive by construction.
     """
-    if n < 2 or n > 4:
-        raise GameError(f"generator supports 2..4 players, got {quoted(n)}")
     rng = _seeded("cost", n, seed)
     savings = zero_normalize(_sample_superadditive(rng, n))
     singles = tuple(_rand_fraction(rng, 6, 18) for _ in range(n))

@@ -1,6 +1,7 @@
 import sys
 import time
 from decimal import Decimal
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from tugame import (
     grid_minmax_propensity,
     mask_from_key,
     nonempty_coalitions,
+    parse_game,
     propensity_to_disrupt,
     remainder,
     to_fraction,
@@ -245,6 +247,95 @@ def test_a_key_that_only_equals_a_mask_is_an_invalid_coalition(key, ex1):
         TUGame(3, values)
     with pytest.raises(PlayerOutOfRangeError, match="invalid coalition"):
         ex1.value(key)
+
+
+class _Three(IntEnum):
+    THREE = 3
+
+
+class _Text(str):
+    pass
+
+
+class _Ratio(Fraction):
+    pass
+
+
+def _worth_type(worth, outcome, text=None, file=None, converted=None):
+    """One worth type for the reader test: `outcome` is the constructor's
+    value or (error type, message); `to_fraction` gives the same unless
+    `converted` says otherwise, and so does a game file with the worth
+    written as the JSON `text` unless `file` does."""
+    return pytest.param(
+        worth,
+        outcome,
+        outcome if converted is None else converted,
+        text,
+        outcome if file is None else file,
+        id=f"{type(worth).__name__}-{worth!r}"[:40],
+    )
+
+
+_REFUSED_FLOAT = (
+    "refusing float 0.5: pass an int, Fraction, or a string like '29/2' or '14.5' "
+    "to keep arithmetic exact"
+)
+
+_WORTH_TYPES = [
+    _worth_type(_Three.THREE, Fraction(3), "3"),
+    _worth_type(_Ratio(2, 6), Fraction(1, 3), '"2/6"'),
+    _worth_type(_Text(" 5/10 "), Fraction(1, 2), '" 5/10 "'),
+    _worth_type(_Text("5/0"), (BadNumberError, "bad number token '5/0'"), '"5/0"'),
+    _worth_type(Decimal("14.50"), Fraction(29, 2), "14.50"),
+    _worth_type(
+        Decimal("NaN"),
+        (BadNumberError, "bad number token Decimal('NaN')"),
+        "NaN",
+        file=(BadNumberError, "bad number token 'NaN'"),
+    ),
+    _worth_type(
+        Decimal("1E+10000000"),
+        (BadNumberError, "bad number token Decimal('1E+10000000')"),
+        "1E+10000000",
+        file=(BadNumberError, "bad number token '1E+10000000'"),
+    ),
+    _worth_type(True, (BadNumberError, "bad number token True"), "true"),
+    # JSON's 0.5 is read exactly, so no file holds a float
+    _worth_type(0.5, (TypeError, _REFUSED_FLOAT)),
+    *(
+        _worth_type(
+            worth,
+            (BadNumberError, f"bad number token {worth!r}"),
+            text,
+            converted=(TypeError, f"cannot interpret {worth!r} as an exact rational"),
+        )
+        for worth, text in ((None, "null"), (1j, None), ([], "[]"), ({}, "{}"))
+    ),
+]
+
+
+@pytest.mark.parametrize("worth, built, converted, text, read", _WORTH_TYPES)
+def test_every_worth_type_reads_through_the_one_reader(worth, built, converted, text, read):
+    def outcome(make):
+        try:
+            return make()
+        except (GameError, TypeError) as exc:
+            return type(exc), str(exc)
+
+    # int masks in order take the bulk pass, tuple keys the walk
+    assert outcome(lambda: TUGame(2, {1: 1, 2: worth, 3: 5}).value(2)) == built
+    assert outcome(lambda: TUGame(2, {(1,): 1, (2,): worth, (1, 2): 5}).value(2)) == built
+    assert outcome(lambda: to_fraction(worth)) == converted
+    if text is not None:
+        file_text = '{"kind": "tu", "n": 2, "values": {"1": 1, "2": %s, "1,2": 5}}' % text
+        assert outcome(lambda: parse_game(file_text).value(2)) == read
+
+
+@pytest.mark.parametrize("mask", [-1, -2, -(1 << 70)])
+def test_a_negative_mask_is_out_of_range(mask):
+    for convert in (coalition_members, coalition_key):
+        with pytest.raises(PlayerOutOfRangeError, match="is negative"):
+            convert(mask)
 
 
 def test_bool_and_none_are_not_worths():

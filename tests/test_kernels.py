@@ -48,7 +48,7 @@ from tugame import (
     zero_normalize,
 )
 from tugame.costs import AcaStatus
-from tugame.game import additive_table, split_worths
+from tugame.game import additive_table, worth_pairs
 from tugame.gately import GatelyStatus
 from tugame.oracle import recompute_by_definition
 from tugame.tau import TauStatus
@@ -728,7 +728,7 @@ def test_roadmap_row_one_within_budget(row_one):
     symmetry and covariance its tau-value and Gately point are both
     u(N) / n + a_i = 16 / 3 + a_i."""
     table, weights = row_one
-    game = TUGame._from_table(16, split_worths(table))
+    game = TUGame._from_table(16, worth_pairs(table))
     started = time.perf_counter()
     flags = classify(game)
     assert time.perf_counter() - started < 2.0
@@ -744,7 +744,7 @@ def test_roadmap_row_five_within_budget(row_five):
     positive, and its large denominators sit in the part that is not
     additive, so g's view is rounded. Every convexity check clears its
     margin by about 2**64 / (2 * 10**6), and classify takes < 2 s."""
-    game = TUGame._from_table(16, split_worths(row_five))
+    game = TUGame._from_table(16, worth_pairs(row_five))
     started = time.perf_counter()
     flags = classify(game)
     assert time.perf_counter() - started < 2.0

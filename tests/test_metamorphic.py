@@ -32,7 +32,7 @@ from tugame import (
     tau_value,
     utopia_payoffs,
 )
-from tugame.game import additive_table, split_worths
+from tugame.game import additive_table, worth_pairs
 from tugame.oracle import GAME_CLASSES
 
 from conftest import induced_subgraph_table, primes_below, tie_heavy_table
@@ -204,7 +204,7 @@ TWELVE_PLAYER_FAMILIES = {
 @pytest.mark.parametrize("family", TWELVE_PLAYER_FAMILIES)
 def test_reversing_twelve_players_moves_every_solution(family):
     n = 12
-    game = TUGame._from_table(n, split_worths(_twelve_player_table(family)))
+    game = TUGame._from_table(n, worth_pairs(_twelve_player_table(family)))
     flags = classify(game)
     assert (game._view()[2], flags.superadditive) == TWELVE_PLAYER_FAMILIES[family]
     perm = tuple(range(n - 1, -1, -1))

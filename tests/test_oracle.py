@@ -170,6 +170,14 @@ def test_generator_rejects_bad_requests():
         generate_game(0, 5, "arbitrary")
 
 
+@pytest.mark.parametrize("n", [0, 1, 5, -3, True, 3.0, "3", None, Fraction(3)])
+def test_generators_refuse_a_player_count_that_is_not_an_int_in_2_to_4(n):
+    for generate in (generate_game, generate_cost_game):
+        with pytest.raises(GameError) as raised:
+            generate(0, n)
+        assert str(raised.value) == f"generator supports 2..4 players, got {n}"
+
+
 def test_weakly_constant_sum_games_hit_the_degenerate_gate():
     for n in (3, 4):
         for seed in range(40):
