@@ -7,7 +7,7 @@ including degenerate ones like an undefined Gately point, exit 0 with the
 status in the payload: the tool answered the question. Nonzero exits are
 reserved for user mistakes:
 
-    2   unreadable or malformed input
+    2   unreadable or malformed input, or a report that cannot be written
     3   precondition violation (wrong game kind, bad allocation, ...)
     4   internal error
 
@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, fields
 from fractions import Fraction
 
@@ -148,8 +150,6 @@ def _allocation(text: str, n: int) -> tuple[Fraction, ...]:
     return allocation
 
 
-_GROUPS = {"oracle": "brute-force verification tools"}
-
 # name, game kind, help, extra arguments as (flags, options), body
 _COMMANDS = (
     ("props", "TU", "classify a TU game", (),
@@ -261,18 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-    groups = {}
     for row in _COMMANDS:
         name, _, help_text, arguments, _ = row
-        *group, leaf = name.split()
         target = sub
-        for word in group:
-            if word not in groups:
-                groups[word] = sub.add_parser(word, help=_GROUPS[word]).add_subparsers(
-                    dest=f"{word}_command", metavar="COMMAND", required=True
-                )
-            target = groups[word]
-        sp = target.add_parser(leaf, parents=[common], help=help_text)
+        if name.startswith("oracle "):
+            target = sub.add_parser("oracle", help="brute-force verification tools").add_subparsers(
+                dest="oracle_command", metavar="COMMAND", required=True
+            )
+        sp = target.add_parser(name.removeprefix("oracle "), parents=[common], help=help_text)
         sp.add_argument("file", help="game file")
         for flags, options in arguments:
             sp.add_argument(*flags, **options)
@@ -298,15 +294,16 @@ def run(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - safety net
         print(f"tugame: internal error: {exc!r}", file=sys.stderr)
         return 4
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                print(rendered, file=handle)
-        except OSError as exc:
-            print(f"tugame: cannot write {args.output}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        print(rendered)
+    out = args.output
+    try:  # flushed here, so a closed pipe is refused like an unwritable file
+        with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as handle:
+            print(rendered, file=handle, flush=True)
+    except OSError as exc:
+        print(f"tugame: cannot write {out or 'stdout'}: {exc}", file=sys.stderr)
+        if not out:  # what stdout still buffers goes nowhere at exit
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 2
     return 0
 
 

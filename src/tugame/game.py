@@ -36,8 +36,9 @@ its digit string. One reader, `worth_pairs`, converts every worth type any
 caller accepts: it holds the number grammar of worth text (a sign, digits,
 then an optional ".digits" or "/digits", surrounding whitespace tolerated)
 and the digit limits on text and Decimals. `to_fraction`, the game file's
-JSON number hooks, the table builder and the samplers of `oracle` all read
-numbers through it.
+JSON integer hook, the table builder (which gets every other bare number
+of a file as its text) and the samplers of `oracle` all read numbers
+through it.
 """
 
 from __future__ import annotations

@@ -10,16 +10,19 @@ Coalition keys are comma-separated strictly increasing 1-based player
 indices ("1", "1,3", "1,2,3"). Every nonempty coalition of an n-player
 game must appear exactly once; an explicit empty-coalition entry (key "")
 is tolerated when its value is exactly 0. Worths may be JSON integers,
-JSON decimal literals, or strings like "29/2" or "14.5". Quoted or bare,
-a number is read by one reader, `game.worth_pairs`, which holds the one
-grammar (no exponent form) and the digit limit, and converts from the
-digit text, so decimals stay exact: "14.5" becomes 29/2, never a binary
-float. That reader turns every worth of a file into a (numerator,
-denominator) pair of ints in lowest terms, which the game keeps as they
-are: no `Fraction` is built. Keys in mask order take one pass of it over
-all worths; any other layout is read one entry at a time, key then worth,
-which names the first fault. The writer takes each worth's text from the
-same two ints.
+JSON decimal literals, or strings like "29/2" or "14.5". The JSON decoder
+converts only integers, so that "n" is an int and a quoted "16" is not;
+every other bare token, a decimal or a constant such as NaN, stays its
+text. So quoted or bare, a worth is read by one reader, `game.worth_pairs`,
+in entry order, and the same token gives the same value or the same error
+either way. That reader holds the one grammar (no exponent form) and the
+digit limit, and converts from the digit text, so decimals stay exact:
+"14.5" becomes 29/2, never a binary float. It turns every worth of a file
+into a (numerator, denominator) pair of ints in lowest terms, which the
+game keeps as they are: no `Fraction` is built. Keys in mask order take
+one pass of it over all worths; any other layout is read one entry at a
+time, key then worth, which names the first fault. The writer takes each
+worth's text from the same two ints.
 """
 
 from __future__ import annotations
@@ -28,14 +31,10 @@ import json
 import sys
 from itertools import islice
 
-from .errors import BadNumberError, DigitLimitError, DuplicateCoalitionError, GameFormatError
-from .game import CostGame, TUGame, build_table, coalition_keys, to_fraction, worth_pairs
+from .errors import DigitLimitError, DuplicateCoalitionError, GameFormatError
+from .game import CostGame, TUGame, build_table, coalition_keys, worth_pairs
 
 _TOP_LEVEL_KEYS = {"kind", "n", "values"}
-
-
-def _reject_constant(token):
-    raise BadNumberError(token)
 
 
 def _json_int(token: str) -> int:
@@ -62,14 +61,15 @@ def parse_game(text: str) -> TUGame | CostGame:
 
     The worth table is filled and validated by `game.build_table`, the
     builder behind the game constructor, so a file is held to the same checks,
-    in the same order, as a constructor call.
+    in the same order, as a constructor call. Only integers are converted
+    while decoding; every other number or constant reaches it as text.
     """
     try:
         doc = json.loads(
             text,
-            parse_float=to_fraction,
+            parse_float=str,
             parse_int=_json_int,
-            parse_constant=_reject_constant,
+            parse_constant=str,
             object_pairs_hook=_pairs_to_dict,
         )
     except json.JSONDecodeError as exc:

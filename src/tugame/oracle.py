@@ -263,8 +263,6 @@ def recompute_by_definition(game: TUGame) -> DefinitionReport:
     )
 
 
-GAME_CLASSES = ("superadditive", "quasibalanced", "weakly_constant_sum", "arbitrary")
-
 _RETRY_CAP = 400
 _DENOMINATORS = (1, 2, 3, 4)
 
@@ -380,22 +378,18 @@ def _sample_arbitrary(rng: random.Random, n: int) -> TUGame:
     return TUGame._from_table(n, worth_pairs(table))
 
 
-_SAMPLERS = {
-    "superadditive": _sample_superadditive,
-    "quasibalanced": _sample_quasibalanced,
-    "weakly_constant_sum": _sample_weakly_constant_sum,
-    "arbitrary": _sample_arbitrary,
+# class name -> (sampler, membership test); each test calls its predicate
+# by the module-level name, so rebinding that name reaches every call
+_CLASSES = {
+    "superadditive": (_sample_superadditive, lambda game: is_superadditive(game)),
+    "quasibalanced": (
+        _sample_quasibalanced,
+        lambda game: is_quasibalanced(game) and is_essential(game),
+    ),
+    "weakly_constant_sum": (_sample_weakly_constant_sum, lambda game: is_weakly_constant_sum(game)),
+    "arbitrary": (_sample_arbitrary, lambda game: True),
 }
-
-
-def _in_class(game: TUGame, game_class: str) -> bool:
-    if game_class == "superadditive":
-        return is_superadditive(game)
-    if game_class == "quasibalanced":
-        return is_quasibalanced(game) and is_essential(game)
-    if game_class == "weakly_constant_sum":
-        return is_weakly_constant_sum(game)
-    return True
+GAME_CLASSES = tuple(_CLASSES)
 
 
 def _seeded(label: str, n: int, seed) -> random.Random:
@@ -423,10 +417,10 @@ def generate_game(seed: int, n: int, game_class: str = "arbitrary") -> TUGame:
     if game_class not in GAME_CLASSES:
         raise GameError(f"unknown game class {quoted(game_class, repr)}; pick from {GAME_CLASSES}")
     rng = _seeded(game_class, n, seed)
-    sampler = _SAMPLERS[game_class]
+    sampler, in_class = _CLASSES[game_class]
     for _ in range(_RETRY_CAP):
         game = sampler(rng, n)
-        if game is not None and _in_class(game, game_class):
+        if game is not None and in_class(game):
             return game
     raise GenerationFailedError(
         f"no {game_class} game with n={n} found for seed {seed} "

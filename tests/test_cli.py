@@ -1,8 +1,11 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -276,6 +279,32 @@ def test_output_to_a_directory_is_exit_2(data_dir, tmp_path):
     assert code == 2
     assert out == ""
     assert f"cannot write {tmp_path}" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_a_closed_stdout_is_exit_2_with_one_line(data_dir, fmt):
+    # a child in development mode with warnings as errors, writing to a
+    # pipe whose read end is already closed: the report cannot be written,
+    # and the interpreter's own flush at exit must add nothing
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "tugame", "tau",
+             str(data_dir / "ex1.game"), "--format", fmt],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr == "tugame: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
 def test_every_rational_has_exact_and_approx_forms(data_dir):

@@ -117,11 +117,21 @@ def test_bad_number_tokens():
 
 def test_quoted_decimals_are_held_as_int_pairs():
     decimals = {key: f"{mask - 8}.{mask:03}" for mask, key in enumerate(coalition_keys(4)[1:], 1)}
-    parsed = parse_game(json.dumps({"kind": "tu", "n": 4, "values": decimals}))
+    quoted = json.dumps({"kind": "tu", "n": 4, "values": decimals})
+    parsed = parse_game(quoted)
     assert parsed._table is None
     ratios = {key: f"{Fraction(t).numerator}/{Fraction(t).denominator}" for key, t in decimals.items()}
     assert parsed == parse_game(json.dumps({"kind": "tu", "n": 4, "values": ratios}))
     assert parsed.value(1) == Fraction(-7001, 1000)
+    # the same decimals bare, in mask order (the bulk pass) and reversed (the walk)
+    walked = json.dumps({"kind": "tu", "n": 4, "values": dict(reversed(decimals.items()))})
+    for text in (quoted, walked):
+        bare = text
+        for token in decimals.values():
+            bare = bare.replace(json.dumps(token), token)
+        assert '"-7.001"' not in bare and "-7.001" in bare
+        assert parse_game(bare) == parsed
+        assert parse_game(bare)._table is None
 
 
 def test_the_digit_limit_is_read_when_a_worth_is_read():
@@ -354,3 +364,82 @@ def test_edge_worths_read_the_same_through_the_file_and_the_constructor(token, w
         assert results[0] == TUGame(n, _worths(n) | {json.loads(key): outcome}).table
     else:
         assert results[0] == outcome
+
+
+# Faulty tokens that JSON can write both bare and quoted. The JSON decoder
+# converts only integers, so each reaches the worth reader as its text.
+_FAULTY_BARE_TOKENS = ["1e5", "-2.5E-3", "NaN", "Infinity", "-Infinity", "0." + "1" * (_LIMIT + 1)]
+
+# Game files with TOKEN in place of one worth (or of a field's value). The
+# first three read the token's own fault; the rest have an earlier fault,
+# which must be named first whether the token is bare or quoted.
+_TOKEN_FILES = {
+    "bulk": '{"kind": "tu", "n": 2, "values": {"1": 1, "2": 1, "1,2": TOKEN}}',
+    "walked": '{"kind": "tu", "n": 2, "values": {"1,2": TOKEN, "2": 1, "1": 1}}',
+    "in a list": '{"kind": "tu", "n": 2, "values": {"1": 1, "2": [1, TOKEN], "1,2": 1}}',
+    "after a bad worth": '{"kind": "tu", "n": 2, "values": {"2": "x", "1": TOKEN, "1,2": 1}}',
+    "after a key fault": '{"kind": "tu", "n": 2, "values": {"1": 1, "3": 1, "2": 1, "1,2": TOKEN}}',
+    "after a bad kind": '{"kind": "tv", "n": 2, "values": {"1": 1, "2": 1, "1,2": TOKEN}}',
+    "after an unknown field": (
+        '{"kind": "tu", "n": 2, "extra": 0, "values": {"1": 1, "2": 1, "1,2": TOKEN}}'
+    ),
+    "in an unknown field": (
+        '{"kind": "tu", "n": 2, "values": {"1": 1, "2": 1, "1,2": 1}, "extra": TOKEN}'
+    ),
+}
+
+_EARLIER_FAULTS = {
+    "after a bad worth": (BadNumberError, "bad number token 'x'"),
+    "after a key fault": (PlayerOutOfRangeError, "player 3 outside 1..2"),
+    "after a bad kind": (GameFormatError, "\"kind\" must be \"tu\" or \"cost\", got 'tv'"),
+    "after an unknown field": (GameFormatError, "unknown field(s): ['extra']"),
+    "in an unknown field": (GameFormatError, "unknown field(s): ['extra']"),
+}
+
+
+def _bare_and_quoted(template: str, token: str) -> list:
+    """(type, message) of the error that `template` raises with `token`
+    in place of TOKEN, bare and then quoted."""
+    raised = []
+    for text in (token, json.dumps(token)):
+        with pytest.raises(GameError) as info:
+            parse_game(template.replace("TOKEN", text))
+        raised.append((type(info.value), str(info.value)))
+    return raised
+
+
+@pytest.mark.parametrize("layout", _TOKEN_FILES)
+@pytest.mark.parametrize("token", _FAULTY_BARE_TOKENS, ids=lambda token: token[:12])
+def test_a_bare_token_faults_as_the_same_token_quoted(token, layout):
+    bare, quoted = _bare_and_quoted(_TOKEN_FILES[layout], token)
+    assert bare == quoted
+    if layout in _EARLIER_FAULTS:
+        assert bare == _EARLIER_FAULTS[layout]
+    elif layout == "in a list":
+        assert bare == (BadNumberError, f"bad number token [1, {token!r}]")
+    elif token.startswith("0."):
+        limit = f"number literal of {_LIMIT + 2} digits exceeds the limit of {_LIMIT} digits"
+        assert bare == (GameFormatError, limit)
+    else:
+        assert bare == (BadNumberError, f"bad number token {token!r}")
+
+
+def test_a_bare_decimal_in_a_list_is_quoted_as_its_text():
+    assert _bare_and_quoted(_TOKEN_FILES["in a list"], "2.5") == [
+        (BadNumberError, "bad number token [1, '2.5']")
+    ] * 2
+
+
+@pytest.mark.parametrize(
+    "field,token,message",
+    [
+        ("n", "2.0", "\"n\" must be an integer, got '2.0'"),
+        ("n", "NaN", "\"n\" must be an integer, got 'NaN'"),
+        ("kind", "1.5", "\"kind\" must be \"tu\" or \"cost\", got '1.5'"),
+        ("kind", "-Infinity", "\"kind\" must be \"tu\" or \"cost\", got '-Infinity'"),
+    ],
+)
+def test_a_bare_non_integer_field_is_quoted_as_its_text(field, token, message):
+    template = json.dumps({"kind": "tu", "n": 1, "values": {"1": 1}, field: "TOKEN"})
+    template = template.replace('"TOKEN"', "TOKEN")
+    assert _bare_and_quoted(template, token) == [(GameFormatError, message)] * 2
