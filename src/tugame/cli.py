@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import sys
 from contextlib import nullcontext
@@ -35,7 +36,7 @@ from .bounds import minimal_rights, utopia_payoffs
 from .costs import AcaStatus, aca_allocation, savings_game
 from .errors import DigitLimitError, GameError, NotEssentialError
 from .game import exact_text, to_fraction
-from .gamefile import dump_json, game_document, parse_game, serialize_game
+from .gamefile import game_document, parse_game, serialize_game
 from .gately import GatelyStatus, equal_propensity, gately_point, propensity_to_disrupt
 from .oracle import grid_minmax_propensity
 from .properties import classify
@@ -229,7 +230,7 @@ def _render_text(report: dict) -> str:
         for index, entry in enumerate(entries, start=1):
             lines.append(f"{name}[{index}]: {entry['exact']} (~ {entry['approx']})")
     if "game" in report:
-        lines.append(f"game: {dump_json(report['game'])}")
+        lines.append(f"game: {json.dumps(report['game'])}")
     for message in report["messages"]:
         lines.append(f"message: {message}")
     return "\n".join(lines)
@@ -237,7 +238,7 @@ def _render_text(report: dict) -> str:
 
 def _render(report: dict, fmt: str) -> str:
     if fmt == "structured":
-        return dump_json(report, indent=2)
+        return json.dumps(report, indent=2)
     return _render_text(report)
 
 

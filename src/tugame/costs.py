@@ -63,7 +63,7 @@ def nonseparable_cost(cost: CostGame) -> Fraction:
 def aca_allocation(cost: CostGame) -> AcaResult:
     """The ACA cost allocation, or the degenerate reason there is none."""
     separable = separable_costs(cost)
-    nsc = cost.grand_value - sum(separable)
+    nsc = nonseparable_cost(cost)
     line = efficient_point(cost.grand_value, separable, cost.singleton_values())
     if line is None and nsc != 0:
         return AcaResult(

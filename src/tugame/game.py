@@ -164,6 +164,17 @@ def to_fraction(value) -> Fraction:
     return Fraction(p, q)
 
 
+def worth_vector(values, n: int, name: str) -> tuple[Fraction, ...]:
+    """One exact worth per player, each read by `to_fraction`. A str,
+    bytes or bytearray is refused whole, not read one item per entry."""
+    if isinstance(values, (str, bytes, bytearray)):
+        raise GameError(f"{name} must be a sequence of worths, got {type(values).__name__}")
+    vector = tuple(map(to_fraction, values))
+    if len(vector) != n:
+        raise GameError(f"{name} has {len(vector)} entries for a {n}-player game")
+    return vector
+
+
 def exact_text(value: Fraction) -> str:
     """`str(value)`, raising DigitLimitError past Python's int-to-text
     digit limit instead of a bare ValueError."""

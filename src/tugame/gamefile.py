@@ -22,7 +22,8 @@ into a (numerator, denominator) pair of ints in lowest terms, which the
 game keeps as they are: no `Fraction` is built. Keys in mask order take
 one pass of it over all worths; any other layout is read one entry at a
 time, key then worth, which names the first fault. The writer takes each
-worth's text from the same two ints.
+worth's text from the same two ints, and `game_document` checks them
+against the digit limit first, so a document it builds always renders.
 """
 
 from __future__ import annotations
@@ -102,24 +103,17 @@ def parse_game(text: str) -> TUGame | CostGame:
     return cls._from_table(n, build_table(n, raw_values))
 
 
-def dump_json(doc, **options) -> str:
-    """`json.dumps(doc)`, with the digit limit reported as a DigitLimitError
-    (an over-long int is the only value in a game document or report that
-    json.dumps can refuse)."""
-    try:
-        return json.dumps(doc, **options)
-    except ValueError:
-        raise DigitLimitError() from None
-
-
 def game_document(game: TUGame | CostGame) -> dict:
     """The game-file object of a game, its keys in increasing mask order.
     Each worth is written from its numerator and denominator: "p/q", or
-    the JSON integer p when q is 1."""
-    try:
-        tokens = [p if q == 1 else f"{p}/{q}" for p, q in islice(zip(*game._ints), 1, None)]
-    except ValueError:
-        raise DigitLimitError() from None
+    the JSON integer p when q is 1. A numerator or denominator past the
+    int-to-text digit limit is a DigitLimitError, raised before any token
+    is built, so that `json.dumps` can always write the document."""
+    nums, dens = game._ints
+    limit = sys.get_int_max_str_digits()
+    if limit and max(-min(nums), max(nums), max(dens)) >= 10**limit:
+        raise DigitLimitError()
+    tokens = [p if q == 1 else f"{p}/{q}" for p, q in islice(zip(nums, dens), 1, None)]
     values = dict(zip(islice(coalition_keys(game.n), 1, None), tokens))
     return {"kind": game.kind, "n": game.n, "values": values}
 
@@ -130,4 +124,4 @@ def serialize_game(game: TUGame | CostGame) -> str:
     Coalition keys are emitted in increasing bitmask order, which makes the
     output canonical: equal games serialize to identical text.
     """
-    return dump_json(game_document(game))
+    return json.dumps(game_document(game))

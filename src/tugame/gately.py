@@ -15,7 +15,8 @@ defined for essential games only. Solving d(i, x) = d* for all i yields a
 single efficient point on the half-line from the singleton worths
 v = (v_1, ..., v_n) toward the utopia payoffs M = (M_1, ..., M_n):
 `gately_point` passes v(N), v and M to `bounds.efficient_point`, whose
-parameter t gives x = v + t * (M - v) and d* = 1/t - 1.
+parameter t gives x = v + t * (M - v), and reads d* = 1/t - 1 from the
+closed form, `equal_propensity`.
 
 That point exists unless d* = -1, i.e. unless v and M have equal sums
 (status UndefinedEqualPropensityMinusOne); the weakly constant-sum games
@@ -39,7 +40,7 @@ from .errors import (
     GameError,
     NotEfficientError,
 )
-from .game import TUGame, exact_text, is_player, quoted, to_fraction
+from .game import TUGame, exact_text, is_player, quoted, worth_vector
 from .properties import essential_surplus, is_essential, is_inessential
 
 
@@ -79,11 +80,7 @@ def propensity_to_disrupt(
     The allocation must be efficient and must pay the player strictly more
     than the singleton worth; the ratio is undefined at the lower bound.
     """
-    x = tuple(to_fraction(xi) for xi in allocation)
-    if len(x) != game.n:
-        raise GameError(
-            f"allocation has {len(x)} entries for a {game.n}-player game"
-        )
+    x = worth_vector(allocation, game.n, "allocation")
     if not is_player(player, game.n):
         raise GameError(f"player {quoted(player)} outside 1..{game.n}")
     total = sum(x, Fraction(0))
@@ -136,15 +133,14 @@ def gately_point(game: TUGame) -> GatelyResult:
     if not is_essential(game):
         return GatelyResult(GatelyStatus.NOT_ESSENTIAL)
 
+    d_star = equal_propensity(game)
     line = efficient_point(game.grand_value, singles, utopia_payoffs(game))
     if line is None:
-        return GatelyResult(
-            GatelyStatus.EQUAL_PROPENSITY_MINUS_ONE, d_star=Fraction(-1)
-        )
+        return GatelyResult(GatelyStatus.EQUAL_PROPENSITY_MINUS_ONE, d_star=d_star)
 
     t, point = line
     if all(xi >= vi for xi, vi in zip(point, singles)):
         status = GatelyStatus.UNIQUE_IMPUTATION
     else:
         status = GatelyStatus.OUTSIDE_IMPUTATION_SET
-    return GatelyResult(status, point=point, d_star=1 / t - 1, line_parameter=t)
+    return GatelyResult(status, point=point, d_star=d_star, line_parameter=t)

@@ -159,11 +159,9 @@ def _pairs_superadditive(at_least, w, margin: int) -> bool:
 
 
 def is_inessential(game: TUGame) -> bool:
-    """Superadditive with singleton worths summing exactly to v(N)."""
-    return (
-        sum(game.singleton_values()) == game.grand_value
-        and is_superadditive(game)
-    )
+    """Superadditive with singleton worths summing exactly to v(N): not
+    essential, as superadditivity already gives v(N) >= sum v_i."""
+    return not is_essential(game) and is_superadditive(game)
 
 
 def is_weakly_superadditive(game: TUGame) -> bool:
@@ -209,11 +207,11 @@ def classify(game: TUGame) -> GameClassification:
     A superadditive game is weakly superadditive, so that scan runs only
     when superadditivity fails.
     """
-    surplus = game.grand_value - sum(game.singleton_values())
+    essential = is_essential(game)
     superadditive = is_superadditive(game)
     return GameClassification(
-        essential=surplus > 0,
-        inessential=surplus == 0 and superadditive,
+        essential=essential,
+        inessential=not essential and superadditive,
         weakly_superadditive=superadditive or is_weakly_superadditive(game),
         superadditive=superadditive,
         weakly_constant_sum=is_weakly_constant_sum(game),

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import GameError
-from .game import TUGame, additive_table, exact_text, to_fraction
+from .game import TUGame, additive_table, exact_text, to_fraction, worth_vector
 from .properties import essential_surplus
 
 
@@ -52,11 +52,7 @@ def scale_shift(game: TUGame, scale, shift) -> TUGame:
     factor = to_fraction(scale)
     if factor <= 0:
         raise GameError(f"scale must be positive, got {exact_text(factor)}")
-    offsets = tuple(to_fraction(a) for a in shift)
-    if len(offsets) != game.n:
-        raise GameError(
-            f"shift has {len(offsets)} entries for a {game.n}-player game"
-        )
+    offsets = worth_vector(shift, game.n, "shift")
     return TUGame._from_table(game.n, affine_table(game, factor, offsets))
 
 

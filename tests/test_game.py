@@ -27,6 +27,7 @@ from tugame import (
     parse_game,
     propensity_to_disrupt,
     remainder,
+    scale_shift,
     to_fraction,
 )
 from tugame.game import check_player_count
@@ -378,3 +379,25 @@ def test_an_int_past_the_digit_limit_is_named_by_the_limit_in_messages(call, err
     assert type(info.value) is error
     limit = sys.get_int_max_str_digits()
     assert f"{message} than {limit} digits>" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda g: scale_shift(g, 1, "12"), "shift"),
+        (lambda g: scale_shift(g, 1, b"12"), "shift"),
+        (lambda g: scale_shift(g, 1, bytearray(b"12")), "shift"),
+        (lambda g: propensity_to_disrupt(g, "23", 1), "allocation"),
+    ],
+    ids=["shift str", "shift bytes", "shift bytearray", "allocation str"],
+)
+def test_a_string_is_not_read_as_a_vector_one_character_per_entry(call, name):
+    game = TUGame(2, {1: 0, 2: 0, 3: 5})
+    with pytest.raises(GameError, match=f"^{name} must be a sequence of worths, got"):
+        call(game)
+
+
+def test_a_shift_of_the_wrong_length_names_its_entries():
+    game = TUGame(2, {1: 0, 2: 0, 3: 5})
+    with pytest.raises(GameError, match="^shift has 3 entries for a 2-player game$"):
+        scale_shift(game, 1, (1, 2, 3))

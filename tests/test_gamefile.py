@@ -25,6 +25,7 @@ from tugame import (
     serialize_game,
 )
 from tugame.game import coalition_keys
+from tugame.gamefile import game_document
 from tugame.oracle import GAME_CLASSES
 
 
@@ -443,3 +444,37 @@ def test_a_bare_non_integer_field_is_quoted_as_its_text(field, token, message):
     template = json.dumps({"kind": "tu", "n": 1, "values": {"1": 1}, field: "TOKEN"})
     template = template.replace('"TOKEN"', "TOKEN")
     assert _bare_and_quoted(template, token) == [(GameFormatError, message)] * 2
+
+
+# 10**limit is the shortest number past the limit: it has limit + 1 digits
+@pytest.mark.parametrize(
+    "worth",
+    [10**_LIMIT, -(10**_LIMIT), Fraction(1, 10**_LIMIT), Fraction(-7, 10**_LIMIT)],
+    ids=["integer", "negative integer", "denominator", "negative over denominator"],
+)
+def test_game_document_refuses_a_number_past_the_digit_limit(worth):
+    game = TUGame(2, {1: 0, 2: worth, 3: 1})
+    with pytest.raises(DigitLimitError, match=f"more than {_LIMIT} digits"):
+        game_document(game)
+    with pytest.raises(DigitLimitError):
+        serialize_game(game)
+
+
+@pytest.mark.parametrize(
+    "worth",
+    [10**_LIMIT - 1, -(10**_LIMIT - 1), Fraction(1, 10**_LIMIT - 1)],
+    ids=["integer", "negative integer", "denominator"],
+)
+def test_game_document_at_the_digit_limit_is_written(worth):
+    game = TUGame(2, {1: 0, 2: worth, 3: 1})
+    assert parse_game(json.dumps(game_document(game))) == game
+
+
+def test_game_document_without_a_digit_limit_writes_every_number():
+    game = TUGame(1, {1: 10**_LIMIT})
+    sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(game_document(game))
+    finally:
+        sys.set_int_max_str_digits(_LIMIT)
+    assert len(text) > _LIMIT

@@ -7,7 +7,9 @@ scalars. Each relabelled game is also recomputed by definition, so the
 bitmask kernels are checked on the relabelled tables as well. At n = 12,
 past the reach of the definitions, reversing the players moves each one
 across the switch of `bit_slices` from strided slices (bits 0-5) to
-blocks (bits 6-11), on both kinds of integer view.
+blocks (bits 6-11), on both kinds of integer view. At n = 16 the same law
+runs on a convex game with an exact view, a convex game with a rounded
+one, and random worths whose scans stop at once.
 """
 
 import random
@@ -209,6 +211,56 @@ def test_reversing_twelve_players_moves_every_solution(family):
     assert (game._view()[2], flags.superadditive) == TWELVE_PLAYER_FAMILIES[family]
     perm = tuple(range(n - 1, -1, -1))
     moved = _relabel(game, perm)
+    assert moved._view()[2] == game._view()[2]
+    assert classify(moved) == flags
+    assert minimal_rights(moved) == _moved(minimal_rights(game), perm)
+    assert utopia_payoffs(moved) == _moved(utopia_payoffs(game), perm)
+    tau, moved_tau = tau_value(game), tau_value(moved)
+    assert (moved_tau.status, moved_tau.alpha) == (tau.status, tau.alpha)
+    assert moved_tau.point == _moved(tau.point, perm)
+    gately, moved_gately = gately_point(game), gately_point(moved)
+    assert (moved_gately.status, moved_gately.d_star) == (gately.status, gately.d_star)
+    assert moved_gately.point == _moved(gately.point, perm)
+
+
+def _sixteen_player_table(family: str) -> list:
+    n = 16
+    if family == "convex plus coprime additive":  # ROADMAP row 1
+        rng = random.Random(1616)
+        weights = [Fraction(rng.randint(-q, q), q) for q in primes_below(10**6, n)]
+        return [Fraction(m.bit_count() ** 2, 3) + a for m, a in enumerate(additive_table(weights))]
+    if family == "induced subgraph":  # ROADMAP row 5
+        return induced_subgraph_table(n)
+    # as the CLI benchmark's files: worths in [-1, 1] over denominators up
+    # to 10**6, and an essential grand coalition
+    rng = random.Random("relabel sixteen:random worths")
+    table = [Fraction(0)]
+    for _ in range(1, 1 << n):
+        q = rng.randint(2, 10**6)
+        table.append(Fraction(rng.randint(-q, q), q))
+    table[-1] += 2 * n
+    return table
+
+
+# family: (exact view, superadditive); the random worths stop the scans at once
+SIXTEEN_PLAYER_FAMILIES = {
+    "convex plus coprime additive": (True, True),
+    "induced subgraph": (False, True),
+    "random worths": (False, False),
+}
+
+
+@pytest.mark.parametrize("family", SIXTEEN_PLAYER_FAMILIES)
+def test_reversing_sixteen_players_moves_every_solution(family):
+    n = 16
+    game = TUGame._from_table(n, worth_pairs(_sixteen_player_table(family)))
+    flags = classify(game)
+    assert (game._view()[2], flags.superadditive) == SIXTEEN_PLAYER_FAMILIES[family]
+    perm = tuple(range(n - 1, -1, -1))
+    # reversing the bits of a mask is its own inverse, so the moved game's
+    # worth at a mask is the worth at its reversed mask
+    reverse = additive_table([1 << p for p in perm])
+    moved = TUGame._from_table(n, tuple([ints[m] for m in reverse] for ints in game._ints))
     assert moved._view()[2] == game._view()[2]
     assert classify(moved) == flags
     assert minimal_rights(moved) == _moved(minimal_rights(game), perm)
